@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -64,9 +63,7 @@ def cmd_verify(args) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    workers = max(1, args.threads)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        reports = list(pool.map(run_expectations, scenarios))
+    reports = [run_expectations(s) for s in scenarios]
     reports.sort(key=lambda r: r.scenario_id)
     if args.json:
         _print_json({"caveat": UNIVERSE_CAVEAT,
@@ -186,7 +183,7 @@ def cmd_series(args) -> int:
     if args.max_n < 0:
         print("error: --max-n must be non-negative", file=sys.stderr)
         return 2
-    report = series_sum(args.max_n, threads=max(1, args.threads))
+    report = series_sum(args.max_n)
     if args.json:
         payload = {
             "n_max": report.n_max,
@@ -238,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--all", action="store_true", help="run the built-in corpus")
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--verbose", action="store_true", help="print matching rows too")
-    p_verify.add_argument("--threads", type=int, default=1)
     p_verify.set_defaults(func=cmd_verify)
 
     p_dec = sub.add_parser("decompose", help="print a family's chamber table")
@@ -251,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_series = sub.add_parser("series", help="exact partial sums of the 2.7 series")
     p_series.add_argument("--max-n", type=int, required=True)
     p_series.add_argument("--json", action="store_true")
-    p_series.add_argument("--threads", type=int, default=1)
     p_series.set_defaults(func=cmd_series)
     return parser
 

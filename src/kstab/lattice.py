@@ -2,6 +2,8 @@
 
 A ``CurveLattice`` is the finite universe of curves a scenario names, with a
 symmetric rational Gram matrix (orbifold entries like -1/6 are permitted).
+Distinct curves must pair non-negatively: the support closure of the Zariski
+decomposition relies on it.
 Nefness and pseudoeffectivity everywhere in this package are relative to
 this declared universe.
 """
@@ -41,6 +43,10 @@ class CurveLattice:
                 if matrix[i][j] != matrix[j][i]:
                     raise LatticeError(
                         f"gram matrix is not symmetric at ({names[i]}, {names[j]})"
+                    )
+                if matrix[i][j] < 0:
+                    raise LatticeError(
+                        f"distinct curves {names[j]} and {names[i]} pair negatively"
                     )
         if len(set(names)) != n:
             raise LatticeError("duplicate curve names")

@@ -54,6 +54,13 @@ def _ctx(path: str, exc: Exception) -> ScenarioError:
     return ScenarioError(f"{path}: {exc}")
 
 
+def _field(spec: dict, key: str, path: str):
+    try:
+        return spec[key]
+    except KeyError:
+        raise ScenarioError(f"{path}.{key}: missing field") from None
+
+
 def _affine(spec, path: str) -> AffineForm:
     try:
         parts = [rat(x) for x in spec]
@@ -127,19 +134,19 @@ def scenario_from_dict(raw: dict, origin: str = "<memory>") -> Scenario:
     threefold = None
     if raw.get("threefold"):
         tf = raw["threefold"]
-        basis = tuple(tf["basis"])
+        basis = tuple(_field(tf, "basis", f"{origin}:threefold"))
         triple = {}
-        for entry in tf["triple"]:
+        for entry in _field(tf, "triple", f"{origin}:threefold"):
             i, j, k, value = entry
             triple[tuple(sorted((int(i), int(j), int(k))))] = parse_rational(value)
         families = {}
         for name, spec in tf.get("families", {}).items():
             intervals = []
-            for idx, piece in enumerate(spec["intervals"]):
+            for idx, piece in enumerate(_field(spec, "intervals", f"{origin}:threefold.{name}")):
                 path = f"{origin}:threefold.{name}[{idx}]"
-                lo, hi = (parse_rational(x) for x in piece["u"])
-                p = tuple(_affine(c, path) for c in piece["P"])
-                n = tuple(_affine(c, path) for c in piece["N"])
+                lo, hi = (parse_rational(x) for x in _field(piece, "u", path))
+                p = tuple(_affine(c, path) for c in _field(piece, "P", path))
+                n = tuple(_affine(c, path) for c in _field(piece, "N", path))
                 intervals.append(ThreefoldInterval(lo, hi, p, n))
             families[name] = tuple(intervals)
         threefold = ThreefoldSpec(basis, triple, families)
@@ -147,10 +154,10 @@ def scenario_from_dict(raw: dict, origin: str = "<memory>") -> Scenario:
     families: dict[str, SurfaceFamily] = {}
     for name, spec in raw.get("families", {}).items():
         pieces = []
-        for idx, piece in enumerate(spec["pieces"]):
+        for idx, piece in enumerate(_field(spec, "pieces", f"{origin}:families.{name}")):
             path = f"{origin}:families.{name}[{idx}]"
-            lo, hi = (parse_rational(x) for x in piece["u"])
-            coeffs = tuple(_affine(c, path) for c in piece["coeffs"])
+            lo, hi = (parse_rational(x) for x in _field(piece, "u", path))
+            coeffs = tuple(_affine(c, path) for c in _field(piece, "coeffs", path))
             if len(coeffs) != lattice.rank:
                 raise ScenarioError(f"{path}: expected {lattice.rank} coefficients")
             pieces.append(SurfacePiece(lo, hi, ParametricDivisor(coeffs)))
@@ -176,7 +183,7 @@ def scenario_from_dict(raw: dict, origin: str = "<memory>") -> Scenario:
             for p in spec.get("threefold_ord", [])
         )
         data = FlagData(
-            center=spec["center"],
+            center=_field(spec, "center", path),
             point_multiplicities=mults,
             weight=parse_rational(spec.get("A", "1")),
             different={k: parse_rational(v) for k, v in spec.get("different", {}).items()},

@@ -44,11 +44,6 @@ def picard_pair(a, b) -> Fraction:
     return total
 
 
-MINUS_K = (Fraction(2), Fraction(2)) + (Fraction(1),) * 8  # 2l1 + 2l2 - sum e_i
-# pairing against -K in these coordinates: 2*a2 + 2*a1 - sum b_i where the
-# class is a1 l1 + a2 l2 - sum b_i e_i; MINUS_K stores b_i = 1.
-
-
 def _minus_k_vector():
     return (Fraction(2), Fraction(2)) + (Fraction(-1),) * 8
 
@@ -244,7 +239,7 @@ def band_divisor(members) -> DivisorData:
         - AffineForm(1, 0, 1) * AffineForm(1, 0, 1)
         - Polynomial2.const(7)
     )
-    return DivisorData(tuple(pairings), sq, None)
+    return DivisorData(tuple(pairings), sq)
 
 
 @dataclass(frozen=True)
@@ -371,26 +366,17 @@ class SeriesReport:
         return float(last * self.n_max)
 
 
-def series_sum(n_max: int, validate: bool = False, threads: int = 1) -> SeriesReport:
+def series_sum(n_max: int, validate: bool = False) -> SeriesReport:
     """Exact S / M / F ledger for all n <= n_max.
 
     F_{n,i} needs the bands of levels n and n-1, all of which are computed
-    here.  Bands are independent, so they may be computed on a thread pool;
-    the reduction walks them in deterministic band order either way, so the
-    report is byte-identical for any thread count.
+    here; the reduction walks them in band order.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     interval_schedule(n_max)  # validates the chaining once
     keys = [(n, i) for n in range(n_max + 1) for i in (1, 2, 3, 4)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            computed = pool.map(lambda k: compute_band(*k, validate=validate), keys)
-            results = dict(zip(keys, computed))
-    else:
-        results = {key: compute_band(*key, validate=validate) for key in keys}
+    results = {key: compute_band(*key, validate=validate) for key in keys}
     phi_total: dict[tuple[int, int], Fraction] = {}
     for band in results.values():
         for key, value in band.phi_by_kind.items():

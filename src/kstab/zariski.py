@@ -61,7 +61,6 @@ class DivisorData:
 
     pairings: tuple[AffineForm, ...]
     self_sq: Polynomial2
-    coefficients: tuple[AffineForm, ...] | None = None
 
     @classmethod
     def from_parametric(cls, lat: CurveLattice, d: ParametricDivisor) -> "DivisorData":
@@ -69,17 +68,10 @@ class DivisorData:
         sq = Polynomial2()
         for coeff, form in zip(d.coefficients, forms):
             sq = sq + coeff * form
-        return cls(forms, sq, tuple(d.coefficients))
+        return cls(forms, sq)
 
     def at(self, u, v) -> "PointDivisor":
-        coords = None
-        if self.coefficients is not None:
-            coords = tuple(f(u, v) for f in self.coefficients)
-        return PointDivisor(
-            tuple(f(u, v) for f in self.pairings),
-            self.self_sq(u, v),
-            coords,
-        )
+        return PointDivisor(tuple(f(u, v) for f in self.pairings), self.self_sq(u, v))
 
 
 @dataclass(frozen=True)
@@ -88,7 +80,6 @@ class PointDivisor:
 
     pairings: tuple[Fraction, ...]
     self_sq: Fraction
-    coefficients: tuple[Fraction, ...] | None = None
 
     @classmethod
     def from_class(cls, lat: CurveLattice, d: DivisorClass) -> "PointDivisor":
@@ -97,7 +88,7 @@ class PointDivisor:
             row = lat.gram[j]
             pairings.append(sum((c * row[i] for i, c in enumerate(d.coefficients) if c), Fraction(0)))
         sq = sum((c * p for c, p in zip(d.coefficients, pairings)), Fraction(0))
-        return cls(tuple(pairings), sq, tuple(d.coefficients))
+        return cls(tuple(pairings), sq)
 
 
 @dataclass(frozen=True)
@@ -105,15 +96,8 @@ class PointDecomposition:
     support: tuple[int, ...]
     neg_coeffs: tuple[Fraction, ...]  # aligned with support
     negative: DivisorClass  # in curve coordinates, full length
-    positive: DivisorClass | None  # in ambient coordinates when available
     p_pairings: tuple[Fraction, ...]
     p_squared: Fraction
-
-    def negative_vector(self, rank: int) -> tuple[Fraction, ...]:
-        out = [Fraction(0)] * rank
-        for i, c in zip(self.support, self.neg_coeffs):
-            out[i] = c
-        return tuple(out)
 
 
 def _as_point(lat: CurveLattice, d) -> PointDivisor:
@@ -132,28 +116,61 @@ def _as_data(lat: CurveLattice, d) -> DivisorData:
     raise TypeError(f"cannot decompose {type(d).__name__}")
 
 
+def _positive_part(lat: CurveLattice, pairings, self_sq, support):
+    """Negative-part coefficients, P . C_j and P^2 of D on one support set.
+
+    Solves P . C_i = 0 for i in the support, subtracts N from every pairing
+    and forms P^2 = D^2 - N . D.  The support must be negative definite, so
+    the Gram solve is non-singular.  Like ``solve_gram`` it is generic:
+    Fraction pairings with a Fraction D^2 give numbers, AffineForm pairings
+    with a Polynomial2 D^2 give forms and a polynomial.
+    """
+    coeffs = (
+        solve_gram(submatrix(lat, support), [pairings[i] for i in support])
+        if support
+        else []
+    )
+    p_pairings = list(pairings)
+    p_sq = self_sq
+    for i, c in zip(support, coeffs):
+        row = lat.gram[i]
+        for j in range(lat.rank):
+            if row[j]:
+                p_pairings[j] = p_pairings[j] - c * row[j]
+        p_sq = p_sq - c * pairings[i]
+    return coeffs, p_pairings, p_sq
+
+
+def _decomposition(rank: int, support, coeffs, p_pairings, p_sq) -> PointDecomposition:
+    negative = [Fraction(0)] * rank
+    for i, c in zip(support, coeffs):
+        negative[i] = c
+    return PointDecomposition(
+        support=tuple(support),
+        neg_coeffs=tuple(coeffs),
+        negative=DivisorClass(tuple(negative)),
+        p_pairings=tuple(p_pairings),
+        p_squared=p_sq,
+    )
+
+
 def decompose_at(lat: CurveLattice, d) -> PointDecomposition:
     """Unique Zariski decomposition of a numeric class, relative to the universe.
 
     Support discovery iterates the violation closure: starting from the
     curves the class meets negatively, solve the orthogonality system on the
     current support and absorb every curve the candidate positive part still
-    meets negatively.  Distinct curves pair non-negatively, so the closure
-    grows monotonically and reaches the unique support in at most rank steps;
-    the result is fully validated (negative-definite support, non-negative
-    coefficients, orthogonality, nefness) before being returned.
+    meets negatively.  Distinct curves pair non-negatively (``CurveLattice``
+    enforces it), so the closure grows monotonically and reaches the unique
+    support in at most rank steps; the result is fully validated
+    (negative-definite support, non-negative coefficients, orthogonality,
+    nefness) before being returned.
     """
     point = _as_point(lat, d)
     rank = lat.rank
     support: list[int] = []
-    coeffs: list[Fraction] = []
+    coeffs, p_pairings, p_sq = [], point.pairings, point.self_sq
     for _ in range(rank + 1):
-        p_pairings = list(point.pairings)
-        for i, c in zip(support, coeffs):
-            row = lat.gram[i]
-            for j in range(rank):
-                if row[j]:
-                    p_pairings[j] -= c * row[j]
         violations = [j for j in range(rank) if j not in support and p_pairings[j] < 0]
         if not violations:
             break
@@ -163,30 +180,12 @@ def decompose_at(lat: CurveLattice, d) -> PointDecomposition:
                 "not pseudoeffective w.r.t. universe: candidate support "
                 f"{{{', '.join(lat.names[i] for i in support)}}} is not negative definite"
             )
-        coeffs = solve_gram(submatrix(lat, support), [point.pairings[i] for i in support])
+        coeffs, p_pairings, p_sq = _positive_part(lat, point.pairings, point.self_sq, support)
     else:
         raise ZariskiError("support closure failed to stabilize")
     if any(c < 0 for c in coeffs):
         raise ZariskiError("not pseudoeffective w.r.t. universe: negative multiplicity")
-    negative = [Fraction(0)] * rank
-    for i, c in zip(support, coeffs):
-        negative[i] = c
-    p_sq = point.self_sq - sum(
-        (c * point.pairings[i] for i, c in zip(support, coeffs)), Fraction(0)
-    )
-    positive = None
-    if point.coefficients is not None and len(point.coefficients) == rank:
-        positive = DivisorClass(
-            tuple(pc - nc for pc, nc in zip(point.coefficients, negative))
-        )
-    return PointDecomposition(
-        support=tuple(support),
-        neg_coeffs=tuple(coeffs),
-        negative=DivisorClass(tuple(negative)),
-        positive=positive,
-        p_pairings=tuple(p_pairings),
-        p_squared=p_sq,
-    )
+    return _decomposition(rank, support, coeffs, p_pairings, p_sq)
 
 
 def enumerate_valid_supports(lat: CurveLattice, d) -> list[PointDecomposition]:
@@ -220,36 +219,13 @@ def enumerate_valid_supports(lat: CurveLattice, d) -> list[PointDecomposition]:
 
 
 def _try_support(lat, point: PointDivisor, subset: tuple[int, ...]):
-    if subset:
-        try:
-            coeffs = solve_gram(submatrix(lat, subset), [point.pairings[i] for i in subset])
-        except LatticeError:
-            return None
-        if any(c < 0 for c in coeffs):
-            return None
-    else:
-        coeffs = []
-    p_pairings = list(point.pairings)
-    for i, c in zip(subset, coeffs):
-        row = lat.gram[i]
-        for j in range(lat.rank):
-            if row[j]:
-                p_pairings[j] -= c * row[j]
-    if any(p < 0 for p in p_pairings):
+    try:
+        coeffs, p_pairings, p_sq = _positive_part(lat, point.pairings, point.self_sq, subset)
+    except LatticeError:
         return None
-    negative = [Fraction(0)] * lat.rank
-    for i, c in zip(subset, coeffs):
-        negative[i] = c
-    p_sq = point.self_sq - sum(
-        (c * point.pairings[i] for i, c in zip(subset, coeffs)), Fraction(0)
-    )
-    positive = None
-    if point.coefficients is not None and len(point.coefficients) == lat.rank:
-        positive = DivisorClass(tuple(pc - nc for pc, nc in zip(point.coefficients, negative)))
-    return PointDecomposition(
-        tuple(subset), tuple(coeffs), DivisorClass(tuple(negative)), positive,
-        tuple(p_pairings), p_sq,
-    )
+    if any(c < 0 for c in coeffs) or any(p < 0 for p in p_pairings):
+        return None
+    return _decomposition(lat.rank, subset, coeffs, p_pairings, p_sq)
 
 
 @dataclass(frozen=True)
@@ -261,13 +237,6 @@ class Chamber:
     neg_coeffs: tuple[AffineForm, ...]  # aligned with support
     p_pairings: tuple[AffineForm, ...]  # P . C_j for every universe curve
     p_squared: Polynomial2
-    p_class: ParametricDivisor | None
-
-    def negative_coefficient(self, curve: int) -> AffineForm:
-        for i, form in zip(self.support, self.neg_coeffs):
-            if i == curve:
-                return form
-        return AffineForm(0, 0, 0)
 
     def negative_vector_at(self, u, v) -> tuple[Fraction, ...]:
         rank = len(self.p_pairings)
@@ -336,19 +305,9 @@ class ChamberDecomposition:
 
 def _build_chamber(lat: CurveLattice, d: DivisorData, domain: Polygon, support: tuple[int, ...]):
     """Parametric data and validity region for one candidate support."""
-    rank = lat.rank
-    if support:
-        coeffs = solve_gram(submatrix(lat, support), [d.pairings[i] for i in support])
-    else:
-        coeffs = []
-    p_pairings = list(d.pairings)
-    for i, form in zip(support, coeffs):
-        row = lat.gram[i]
-        for j in range(rank):
-            if row[j]:
-                p_pairings[j] = p_pairings[j] - form * row[j]
+    coeffs, p_pairings, p_sq = _positive_part(lat, d.pairings, d.self_sq, support)
     halfplanes = []
-    for form in list(coeffs) + [p_pairings[j] for j in range(rank) if j not in support]:
+    for form in coeffs + [p_pairings[j] for j in range(lat.rank) if j not in support]:
         if form.is_constant():
             if form.c < 0:
                 return None  # support invalid everywhere
@@ -360,22 +319,12 @@ def _build_chamber(lat: CurveLattice, d: DivisorData, domain: Polygon, support: 
     for h in halfplanes:
         region = polygon_clip(region, h)
     region = region.canonical()
-    p_sq = d.self_sq
-    for i, form in zip(support, coeffs):
-        p_sq = p_sq - form * d.pairings[i]
-    p_class = None
-    if d.coefficients is not None and len(d.coefficients) == rank:
-        new_coeffs = list(d.coefficients)
-        for i, form in zip(support, coeffs):
-            new_coeffs[i] = new_coeffs[i] - form
-        p_class = ParametricDivisor(tuple(new_coeffs))
     chamber = Chamber(
         region=region,
         support=tuple(support),
         neg_coeffs=tuple(coeffs),
         p_pairings=tuple(p_pairings),
         p_squared=p_sq,
-        p_class=p_class,
     )
     return chamber, halfplanes
 
@@ -503,7 +452,7 @@ def oracle_check(
         chamber = dec.chamber_at(point)
         expected = decompose_at(lat, data.at(*point))
         actual_n = chamber.negative_vector_at(*point)
-        expected_n = expected.negative_vector(lat.rank)
+        expected_n = expected.negative.coefficients
         if actual_n != expected_n:
             failures.append(
                 OracleFailure(
@@ -616,17 +565,7 @@ def _threshold_sweep(lat, data: DivisorData, u0: Fraction) -> _SweepOutcome:
     support = list(start.support)
     v_cur = AffineForm(0, 0, 0)  # bottom of the current 1-D chamber, affine in u
     for _ in range(4 * rank + 8):
-        coeffs = (
-            solve_gram(submatrix(lat, support), [data.pairings[i] for i in support])
-            if support
-            else []
-        )
-        p_pairings = list(data.pairings)
-        for i, form in zip(support, coeffs):
-            row = lat.gram[i]
-            for j in range(rank):
-                if row[j]:
-                    p_pairings[j] = p_pairings[j] - form * row[j]
+        coeffs, p_pairings, p_sq = _positive_part(lat, data.pairings, data.self_sq, support)
         events: list[tuple[Fraction, AffineForm, str, int]] = []
         constraints = [(form, "drop", i) for form, i in zip(coeffs, support)]
         constraints += [
@@ -649,9 +588,6 @@ def _threshold_sweep(lat, data: DivisorData, u0: Fraction) -> _SweepOutcome:
                         0,
                     )
                 )
-        p_sq = data.self_sq
-        for i, form in zip(support, coeffs):
-            p_sq = p_sq - form * data.pairings[i]
         if not events:
             _reject_unbounded(p_sq, u0, v_cur_at)
         binding_at = min(e[0] for e in events)

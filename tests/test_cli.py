@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from kstab.scenarios import corpus_dir
 
 CLI = [sys.executable, "-m", "kstab.cli"]
@@ -34,6 +36,32 @@ def test_verify_corrupted_file_exit_two(tmp_path):
     assert "error" in proc.stderr
 
 
+@pytest.mark.parametrize("scenario, keys, path", [
+    ("24-cusp", ("families", "f", "pieces"), "families.f.pieces"),
+    ("24-cusp", ("families", "f", "pieces", 0, "u"), "families.f[0].u"),
+    ("24-cusp", ("families", "f", "pieces", 0, "coeffs"), "families.f[0].coeffs"),
+    ("24-cusp", ("flags", "Q_plain", "center"), "flags.Q_plain.center"),
+    ("27-threefold", ("threefold", "basis"), "threefold.basis"),
+    ("27-threefold", ("threefold", "triple"), "threefold.triple"),
+    ("27-threefold", ("threefold", "families", "S", "intervals"), "threefold.S.intervals"),
+    ("27-threefold", ("threefold", "families", "S", "intervals", 0, "u"), "threefold.S[0].u"),
+    ("27-threefold", ("threefold", "families", "S", "intervals", 0, "P"), "threefold.S[0].P"),
+    ("27-threefold", ("threefold", "families", "S", "intervals", 0, "N"), "threefold.S[0].N"),
+])
+def test_verify_missing_field_exit_two(tmp_path, scenario, keys, path):
+    raw = json.loads((corpus_dir() / f"{scenario}.json").read_text())
+    parent = raw
+    for key in keys[:-1]:
+        parent = parent[key]
+    del parent[keys[-1]]
+    bad = tmp_path / "missing.json"
+    bad.write_text(json.dumps(raw))
+    proc = run_cli("verify", str(bad))
+    assert proc.returncode == 2
+    assert f"{path}: missing field" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_mismatch_exit_one(tmp_path):
     raw = json.loads((corpus_dir() / "delta-bounds.json").read_text())
     raw["expect"] = [raw["expect"][0]]
@@ -54,7 +82,7 @@ def test_verify_json_round_trips_to_identical_bytes(tmp_path):
 
 
 def test_verify_all_builtin_corpus():
-    proc = run_cli("verify", "--all", "--threads", "2")
+    proc = run_cli("verify", "--all")
     assert proc.returncode == 0
     assert "FAIL" not in proc.stdout
     assert "relative to each scenario's declared curve universe" in proc.stdout
@@ -107,14 +135,3 @@ def test_series_rejects_negative_n():
     proc = run_cli("series", "--max-n", "-1")
     assert proc.returncode == 2
 
-
-def test_threads_flag_is_deterministic():
-    single = run_cli("verify", str(corpus_dir() / "delta-bounds.json"),
-                     str(corpus_dir() / "22-conic.json"), "--json")
-    threaded = run_cli("verify", str(corpus_dir() / "delta-bounds.json"),
-                       str(corpus_dir() / "22-conic.json"), "--json", "--threads", "4")
-    strip = lambda text: [
-        {k: v for k, v in row.items() if k != "seconds"}
-        for row in json.loads(text)["reports"]
-    ]
-    assert strip(single.stdout) == strip(threaded.stdout)

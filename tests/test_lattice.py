@@ -66,6 +66,11 @@ def test_gram_must_be_symmetric():
         CurveLattice(["a", "b"], [[-1, 1], [0, -1]])
 
 
+def test_distinct_curves_must_not_pair_negatively():
+    with pytest.raises(LatticeError, match="a and b pair negatively"):
+        CurveLattice(["a", "b"], [[-1, F(-1, 2)], [F(-1, 2), -1]])
+
+
 @given(st.integers(0, 10_000))
 @settings(max_examples=40)
 def test_pair_symmetric_bilinear(seed):
@@ -77,7 +82,7 @@ def test_pair_symmetric_bilinear(seed):
     for i in range(n):
         gram[i][i] = F(rng.randint(-6, 6), rng.randint(1, 3))
         for j in range(i):
-            gram[i][j] = gram[j][i] = F(rng.randint(-4, 4), rng.randint(1, 2))
+            gram[i][j] = gram[j][i] = F(rng.randint(0, 4), rng.randint(1, 2))
     lat = CurveLattice([f"c{i}" for i in range(n)], gram)
 
     def rand_class():

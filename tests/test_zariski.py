@@ -100,6 +100,31 @@ def test_greedy_matches_bruteforce_on_random_universes(seed):
     assert vectors == {greedy.negative.coefficients}
 
 
+@given(st.integers(0, 100_000))
+@settings(max_examples=60, deadline=None)
+def test_chambers_match_oracle_on_random_universes(seed):
+    """Parametric chambers agree with pointwise decomposition on random
+    universes, for families that are effective on the whole unit square."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 4)
+    gram = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = F(-rng.randint(1, 6), rng.randint(1, 2))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = F(rng.randint(0, 2), rng.randint(1, 2))
+    lat = CurveLattice([f"c{i}" for i in range(n)], gram)
+    forms = []
+    for _ in range(n):
+        cu = F(rng.randint(-4, 4), rng.randint(1, 2))
+        cv = F(rng.randint(-4, 4), rng.randint(1, 2))
+        # raise the constant until the form is >= 0 on every corner
+        c = max(F(rng.randint(0, 4), rng.randint(1, 2)), -cu, -cv, -cu - cv)
+        forms.append(AffineForm(c, cu, cv))
+    d = ParametricDivisor.of(forms)
+    dec = decompose_parametric(lat, d, Polygon.rectangle(0, 1, 0, 1))
+    assert oracle_check(lat, d, dec, 15, seed).passed
+
+
 def test_parametric_cusp_chambers():
     lat, d = cusp_setup()
     dom = Polygon([(0, 0), (1, 0), (1, 6), (0, 9)])
@@ -145,7 +170,7 @@ def test_oracle_check_passes_and_catches_corruption():
             coeffs[0] = coeffs[0] + AffineForm(F(1, 97))
             chamber = Chamber(
                 chamber.region, chamber.support, tuple(coeffs),
-                chamber.p_pairings, chamber.p_squared, chamber.p_class,
+                chamber.p_pairings, chamber.p_squared,
             )
         bad_chambers.append(chamber)
     corrupted = ChamberDecomposition(lat, dec.divisor, dec.domain, tuple(bad_chambers))
