@@ -177,6 +177,29 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def series_payload(report) -> dict:
+    """The JSON document `kstab series --json` prints for a SeriesReport."""
+    return {
+        "n_max": report.n_max,
+        "S_partial": format_rational(report.s_partial),
+        "S_decimal": report.s_decimal,
+        "M_partial": format_rational(report.m_partial),
+        "F_partial": format_rational(report.f_partial),
+        "F_decimal": report.f_decimal,
+        "S_tail_heuristic": report.tail_estimate(),
+        "ledger": [
+            {
+                "n": entry.n,
+                "S": [format_rational(x) for x in entry.s_terms],
+                "M": [[format_rational(a), format_rational(b)]
+                      for a, b in entry.m_terms],
+                "F": [format_rational(x) for x in entry.f_terms],
+            }
+            for entry in report.entries
+        ],
+    }
+
+
 def cmd_series(args) -> int:
     from .series import series_sum
 
@@ -185,26 +208,7 @@ def cmd_series(args) -> int:
         return 2
     report = series_sum(args.max_n)
     if args.json:
-        payload = {
-            "n_max": report.n_max,
-            "S_partial": format_rational(report.s_partial),
-            "S_decimal": report.s_decimal,
-            "M_partial": format_rational(report.m_partial),
-            "F_partial": format_rational(report.f_partial),
-            "F_decimal": report.f_decimal,
-            "S_tail_heuristic": report.tail_estimate(),
-            "ledger": [
-                {
-                    "n": entry.n,
-                    "S": [format_rational(x) for x in entry.s_terms],
-                    "M": [[format_rational(a), format_rational(b)]
-                          for a, b in entry.m_terms],
-                    "F": [format_rational(x) for x in entry.f_terms],
-                }
-                for entry in report.entries
-            ],
-        }
-        _print_json(payload)
+        _print_json(series_payload(report))
         return 0
     print(f"series ledger up to n = {report.n_max}")
     for entry in report.entries:

@@ -1,16 +1,19 @@
 """Rational convex polygons, half-plane clipping, and exact double integrals.
 
 Chambers of the parameter rectangle are convex polygons with rational
-vertices.  Integration is fan triangulation from vertex 0 followed by an
-affine substitution onto the standard triangle, where monomials integrate
-to a!b!/(a+b+2)!.  Degenerate (zero-area) polygons are legal everywhere and
-integrate to 0, so the chamber engine never special-cases emptiness.
+vertices.  Integration is fan triangulation from vertex 0, by one of two
+exact paths.  An integrand whose every term has total degree <= 2 (every
+integrand the chamber engine produces) uses closed-form fan moments in
+integer arithmetic.  Higher degrees use an affine substitution onto the
+standard triangle, where monomials integrate to a!b!/(a+b+2)!.  Degenerate
+(zero-area) polygons are legal everywhere and integrate to 0, so the chamber
+engine never special-cases emptiness.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Sequence
 
 from .poly import AffineForm, Polynomial2
@@ -214,11 +217,60 @@ def _integrate_std_triangle(p: Polynomial2) -> Fraction:
 def integrate_polygon(p: Polynomial2, poly: Polygon) -> Fraction:
     """Exact double integral of p(u, v) over a convex polygon.
 
-    Fan triangulation from vertex 0; each triangle is pulled back to the
-    standard triangle by the affine substitution with Jacobian |det|.
-    Convexity makes the fan a genuine partition, so no orientation
-    machinery is needed.
+    Fan triangulation from vertex 0; convexity makes the fan a genuine
+    partition, and each triangle counts with |det|, so either orientation
+    works.  When every term of p has total degree <= 2 the closed-form fan
+    moments give the value; otherwise each triangle is pulled back to the
+    standard triangle by the affine substitution.
     """
+    if all(a + b <= 2 for a, b in p.terms):
+        return _integrate_moments(p, poly)
+    return _integrate_substitution(p, poly)
+
+
+def _integrate_moments(p: Polynomial2, poly: Polygon) -> Fraction:
+    """Closed-form integral of a polynomial of total degree <= 2.
+
+    Shifting p to vertex 0 changes only its constant and linear terms.  Over
+    the fan triangle (0, a, b) with d = |det(a, b)| the monomials integrate to
+    d/2, d(a+b)/6, d(a^2+ab+b^2)/12 and d(2a0a1 + a0b1 + b0a1 + 2b0b1)/24.
+    The vertices are scaled to integers by the common denominator L, so the
+    moment sums are plain ints carrying the factors L^2, L^3 and L^4.
+    """
+    verts = poly.vertices
+    if len(verts) < 3:
+        return Fraction(0)
+    scale = lcm(*(c.denominator for vertex in verts for c in vertex))
+    ints = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in verts]
+    ox, oy = ints[0]
+    s0 = sx = sy = sxx = sxy = syy = 0
+    ax, ay = ints[1][0] - ox, ints[1][1] - oy
+    for x, y in ints[2:]:
+        bx, by = x - ox, y - oy
+        d = abs(ax * by - bx * ay)
+        s0 += d
+        sx += d * (ax + bx)
+        sy += d * (ay + by)
+        sxx += d * (ax * ax + ax * bx + bx * bx)
+        sxy += d * (2 * ax * ay + ax * by + bx * ay + 2 * bx * by)
+        syy += d * (ay * ay + ay * by + by * by)
+        ax, ay = bx, by
+    x0, y0 = verts[0]
+    c20, c11, c02 = p.coefficient(2, 0), p.coefficient(1, 1), p.coefficient(0, 2)
+    c10 = p.coefficient(1, 0) + 2 * c20 * x0 + c11 * y0
+    c01 = p.coefficient(0, 1) + c11 * x0 + 2 * c02 * y0
+    sq = scale * scale
+    return (
+        p(x0, y0) * Fraction(s0, 2 * sq)
+        + (c10 * sx + c01 * sy) / (6 * sq * scale)
+        + (2 * c20 * sxx + c11 * sxy + 2 * c02 * syy) / (24 * sq * sq)
+    )
+
+
+def _integrate_substitution(p: Polynomial2, poly: Polygon) -> Fraction:
+    """Integral of a polynomial of any degree by affine substitution of each
+    fan triangle onto the standard triangle, with Jacobian |det|."""
     verts = poly.canonical().vertices
     if len(verts) < 3:
         return Fraction(0)

@@ -36,12 +36,6 @@ class Polynomial2:
                 if c:
                     clean[(int(du), int(dv))] = c
         object.__setattr__(self, "terms", clean)
-        deg_u, deg_v = self.degrees()
-        if deg_u > _DEGREE_WARN or deg_v > _DEGREE_WARN:
-            warnings.warn(
-                f"polynomial degree ({deg_u}, {deg_v}) exceeds the sanity threshold",
-                stacklevel=2,
-            )
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Polynomial2 is immutable")
@@ -257,11 +251,22 @@ def affine(c=0, cu=0, cv=0) -> AffineForm:
 
 
 def poly_from_terms(entries: Iterable[tuple[int, int, object]]) -> Polynomial2:
-    """Build a polynomial from (deg_u, deg_v, coefficient) triples."""
+    """Build a polynomial from (deg_u, deg_v, coefficient) triples.
+
+    This is the path from scenario files to polynomials, so it is where an
+    implausibly high degree is flagged.
+    """
     out: dict[tuple[int, int], Fraction] = {}
     for du, dv, coeff in entries:
         out[(du, dv)] = out.get((du, dv), _ZERO) + rat(coeff)
-    return Polynomial2(out)
+    poly = Polynomial2(out)
+    deg_u, deg_v = poly.degrees()
+    if deg_u > _DEGREE_WARN or deg_v > _DEGREE_WARN:
+        warnings.warn(
+            f"polynomial degree ({deg_u}, {deg_v}) exceeds the sanity threshold",
+            stacklevel=2,
+        )
+    return poly
 
 
 def integrate_interval(p: Polynomial2, a, b) -> Fraction:

@@ -40,7 +40,14 @@ from .invariants import (
     s_threefold,
     _point_base,
 )
-from .lattice import CurveLattice, DivisorClass, ParametricDivisor, is_negative_definite, pair
+from .lattice import (
+    CurveLattice,
+    DivisorClass,
+    LatticeError,
+    ParametricDivisor,
+    is_negative_definite,
+    pair,
+)
 from .poly import AffineForm, Polynomial2, poly_from_terms
 from .rationals import format_decimal, format_rational, parse_rational, rat
 from .zariski import oracle_check
@@ -59,6 +66,28 @@ def _field(spec: dict, key: str, path: str):
         return spec[key]
     except KeyError:
         raise ScenarioError(f"{path}.{key}: missing field") from None
+
+
+def _rational(value, path: str) -> Fraction:
+    try:
+        return parse_rational(value)
+    except (ValueError, AttributeError) as exc:  # AttributeError: not a string
+        raise _ctx(path, exc) from None
+
+
+def _span(spec, path: str) -> tuple[Fraction, Fraction]:
+    """A two-entry [lo, hi] pair of rationals."""
+    if not isinstance(spec, (list, tuple)) or len(spec) != 2:
+        raise ScenarioError(f"{path}: needs exactly two entries")
+    return _rational(spec[0], f"{path}[0]"), _rational(spec[1], f"{path}[1]")
+
+
+def _known_curve(lattice: CurveLattice, name, path: str) -> None:
+    """Reject a curve name the lattice does not declare, at load time."""
+    try:
+        lattice.index(name)
+    except (LatticeError, TypeError) as exc:  # TypeError: unhashable name
+        raise _ctx(path, exc) from None
 
 
 def _affine(spec, path: str) -> AffineForm:
@@ -121,11 +150,13 @@ def scenario_from_dict(raw: dict, origin: str = "<memory>") -> Scenario:
     try:
         sid = raw["id"]
         lemma = raw.get("lemma", "")
-        volume = parse_rational(raw["V"])
+        volume = _rational(raw["V"], f"{origin}:V")
         curves = list(raw["curves"])
         gram = raw["gram"]
     except KeyError as exc:
         raise ScenarioError(f"{origin}: missing field {exc}") from None
+    if volume <= 0:
+        raise ScenarioError(f"{origin}:V: anticanonical volume must be positive")
     try:
         lattice = CurveLattice(curves, [[parse_rational(x) for x in row] for row in gram])
     except Exception as exc:
@@ -136,15 +167,20 @@ def scenario_from_dict(raw: dict, origin: str = "<memory>") -> Scenario:
         tf = raw["threefold"]
         basis = tuple(_field(tf, "basis", f"{origin}:threefold"))
         triple = {}
-        for entry in _field(tf, "triple", f"{origin}:threefold"):
-            i, j, k, value = entry
-            triple[tuple(sorted((int(i), int(j), int(k))))] = parse_rational(value)
+        for idx, entry in enumerate(_field(tf, "triple", f"{origin}:threefold")):
+            path = f"{origin}:threefold.triple[{idx}]"
+            try:
+                i, j, k, value = entry
+                key = tuple(sorted((int(i), int(j), int(k))))
+            except (ValueError, TypeError) as exc:
+                raise _ctx(path, exc) from None
+            triple[key] = _rational(value, path)
         families = {}
         for name, spec in tf.get("families", {}).items():
             intervals = []
             for idx, piece in enumerate(_field(spec, "intervals", f"{origin}:threefold.{name}")):
                 path = f"{origin}:threefold.{name}[{idx}]"
-                lo, hi = (parse_rational(x) for x in _field(piece, "u", path))
+                lo, hi = _span(_field(piece, "u", path), f"{path}.u")
                 p = tuple(_affine(c, path) for c in _field(piece, "P", path))
                 n = tuple(_affine(c, path) for c in _field(piece, "N", path))
                 intervals.append(ThreefoldInterval(lo, hi, p, n))
@@ -156,15 +192,16 @@ def scenario_from_dict(raw: dict, origin: str = "<memory>") -> Scenario:
         pieces = []
         for idx, piece in enumerate(_field(spec, "pieces", f"{origin}:families.{name}")):
             path = f"{origin}:families.{name}[{idx}]"
-            lo, hi = (parse_rational(x) for x in _field(piece, "u", path))
+            lo, hi = _span(_field(piece, "u", path), f"{path}.u")
             coeffs = tuple(_affine(c, path) for c in _field(piece, "coeffs", path))
             if len(coeffs) != lattice.rank:
                 raise ScenarioError(f"{path}: expected {lattice.rank} coefficients")
             pieces.append(SurfacePiece(lo, hi, ParametricDivisor(coeffs)))
         declared = None
         if "threshold" in spec:
+            path = f"{origin}:families.{name}.threshold"
             declared = tuple(
-                (parse_rational(a), parse_rational(b), _affine(f, f"{origin}:families.{name}.threshold"))
+                (_rational(a, path), _rational(b, path), _affine(f, path))
                 for a, b, f in spec["threshold"]
             )
         families[name] = SurfaceFamily(name, tuple(pieces), declared)
@@ -172,22 +209,25 @@ def scenario_from_dict(raw: dict, origin: str = "<memory>") -> Scenario:
     flags: dict[str, FlagSpec] = {}
     for name, spec in raw.get("flags", {}).items():
         path = f"{origin}:flags.{name}"
-        mults = {k: parse_rational(v) for k, v in spec.get("mults", {}).items()}
-        for curve in mults:  # reject unknown curve names early
-            try:
-                lattice.index(curve)
-            except Exception as exc:
-                raise _ctx(path, exc) from None
-        ords = tuple(
-            (parse_rational(p["u"][0]), parse_rational(p["u"][1]), _affine(p["form"], path))
-            for p in spec.get("threefold_ord", [])
-        )
+        mults = {k: _rational(v, f"{path}.mults.{k}") for k, v in spec.get("mults", {}).items()}
+        center = _field(spec, "center", path)
+        _known_curve(lattice, center, f"{path}.center")
+        for curve in mults:
+            _known_curve(lattice, curve, f"{path}.mults.{curve}")
+        ords = []
+        for idx, p in enumerate(spec.get("threefold_ord", [])):
+            ord_path = f"{path}.threefold_ord[{idx}]"
+            lo, hi = _span(_field(p, "u", ord_path), f"{ord_path}.u")
+            ords.append((lo, hi, _affine(_field(p, "form", ord_path), ord_path)))
         data = FlagData(
-            center=_field(spec, "center", path),
+            center=center,
             point_multiplicities=mults,
-            weight=parse_rational(spec.get("A", "1")),
-            different={k: parse_rational(v) for k, v in spec.get("different", {}).items()},
-            threefold_ord=ords,
+            weight=_rational(spec.get("A", "1"), f"{path}.A"),
+            different={
+                k: _rational(v, f"{path}.different.{k}")
+                for k, v in spec.get("different", {}).items()
+            },
+            threefold_ord=tuple(ords),
         )
         family = spec.get("family")
         if family is not None and family not in families:

@@ -28,24 +28,22 @@ ANTICANONICAL_VOLUME = Fraction(14)
 PICARD_NAMES = ("l1", "l2", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8")
 
 
-def picard_gram() -> tuple[tuple[Fraction, ...], ...]:
+def picard_gram() -> tuple[tuple[int, ...], ...]:
     size = len(PICARD_NAMES)
-    gram = [[Fraction(0)] * size for _ in range(size)]
-    gram[0][1] = gram[1][0] = Fraction(1)
+    gram = [[0] * size for _ in range(size)]
+    gram[0][1] = gram[1][0] = 1
     for i in range(2, size):
-        gram[i][i] = Fraction(-1)
+        gram[i][i] = -1
     return tuple(tuple(row) for row in gram)
 
 
-def picard_pair(a, b) -> Fraction:
-    total = a[0] * b[1] + a[1] * b[0]
-    for x, y in zip(a[2:], b[2:]):
-        total -= x * y
-    return total
+def picard_pair(a, b) -> int:
+    """The intersection form 2*a1*a2 - sum b_i^2, polarized; exact in int."""
+    return a[0] * b[1] + a[1] * b[0] - sum(x * y for x, y in zip(a[2:], b[2:]))
 
 
-def _minus_k_vector():
-    return (Fraction(2), Fraction(2)) + (Fraction(-1),) * 8
+def _minus_k_vector() -> tuple[int, ...]:
+    return (2, 2) + (-1,) * 8
 
 
 class BClassError(ValueError):
@@ -75,17 +73,17 @@ def _row(n: int, kind: str, i: int | None):
     raise BClassError(f"unknown kind {kind!r}")
 
 
-def b_class(n: int, kind: str, i: int | None = None) -> tuple[Fraction, ...]:
-    """The class B_{n,kind[,i]} in Picard coordinates, verified (-1)."""
+def b_class(n: int, kind: str, i: int | None = None) -> tuple[int, ...]:
+    """The class B_{n,kind[,i]} in integer Picard coordinates, verified (-1)."""
     if n < 0:
         raise BClassError("n must be non-negative")
     a1, a2, b1, bj, bi = _row(n, kind, i if kind in ("1",) else None)
-    b = [Fraction(bj)] * 7
+    b = [bj] * 7
     if kind in ("2", "4"):
         if i is None or not 2 <= i <= 8:
             raise BClassError(f"kind {kind} needs i in 2..8")
-        b[i - 2] = Fraction(bi)
-    vector = (Fraction(a1), Fraction(a2), Fraction(-b1)) + tuple(-x for x in b)
+        b[i - 2] = bi
+    vector = (a1, a2, -b1) + tuple(-x for x in b)
     if picard_pair(vector, vector) != -1:
         raise BClassError(f"B_({n},{kind},{i}) is not a (-1)-class: table bug")
     if picard_pair(_minus_k_vector(), vector) != 1:
@@ -93,7 +91,7 @@ def b_class(n: int, kind: str, i: int | None = None) -> tuple[Fraction, ...]:
     return vector
 
 
-def generate_b_classes(n: int) -> list[tuple[str, tuple[Fraction, ...]]]:
+def generate_b_classes(n: int) -> list[tuple[str, tuple[int, ...]]]:
     """All seventeen verified (-1)-classes of level n, in table order."""
     out = [(f"B({n},1,1)", b_class(n, "1", 1)), (f"B({n},1,2)", b_class(n, "1", 2))]
     out += [(f"B({n},2,{i})", b_class(n, "2", i)) for i in range(2, 9)]
@@ -102,7 +100,7 @@ def generate_b_classes(n: int) -> list[tuple[str, tuple[Fraction, ...]]]:
     return out
 
 
-def kind_components(n: int, kind: int) -> list[tuple[str, tuple[Fraction, ...]]]:
+def kind_components(n: int, kind: int) -> list[tuple[str, tuple[int, ...]]]:
     if kind == 1:
         return [(f"B({n},1,1)", b_class(n, "1", 1)), (f"B({n},1,2)", b_class(n, "1", 2))]
     if kind == 2:
@@ -197,14 +195,14 @@ def interval_schedule(n_max: int) -> IntervalSchedule:
 # -- band decompositions -----------------------------------------------------
 
 
-def band_universe(n: int, i: int) -> tuple[CurveLattice, list[tuple[str, tuple[Fraction, ...]]]]:
+def band_universe(n: int, i: int) -> tuple[CurveLattice, list[tuple[str, tuple[int, ...]]]]:
     """e1 plus the components of the kinds that can support N on band I_{n,i}.
 
     Kind i-1 is included as an extra nefness witness; kind 0 of level n is
     kind 4 of level n-1 and kind 5 is kind 1 of level n+1.
     """
-    e1 = tuple(Fraction(1) if name == "e1" else Fraction(0) for name in PICARD_NAMES)
-    members: list[tuple[str, tuple[Fraction, ...]]] = [("e1", e1)]
+    e1 = tuple(int(name == "e1") for name in PICARD_NAMES)
+    members: list[tuple[str, tuple[int, ...]]] = [("e1", e1)]
     for kind in (i - 1, i, i + 1):
         level = n
         if kind == 0:
@@ -228,11 +226,8 @@ def band_divisor(members) -> DivisorData:
     one_plus_v = AffineForm(1, 0, 1)
     pairings = []
     for _, vector in members:
-        a1, a2 = vector[0], vector[1]
-        form = three_minus_u * (a1 + a2) + one_plus_v * vector[2]
-        for x in vector[3:]:
-            form = form + AffineForm(x, 0, 0)
-        pairings.append(form)
+        form = three_minus_u * (vector[0] + vector[1]) + one_plus_v * vector[2]
+        pairings.append(form + AffineForm(sum(vector[3:]), 0, 0))
     # d^2 = 2 (3-u)^2 - (1+v)^2 - 7
     sq = (
         AffineForm(3, -1, 0) * AffineForm(3, -1, 0) * 2

@@ -5,10 +5,13 @@ scenario intersection data through chambers and integration.  One summary
 line per criterion is printed (run with -s to see them).
 """
 
+import hashlib
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from kstab.cli import series_payload
 from kstab.closed_forms import f_closed, m_closed, s_closed
 from kstab.scenarios import ScenarioRuntime, load_corpus
 from kstab.series import (
@@ -234,6 +237,16 @@ def test_criterion_10_series_partial_sum(series500):
 )
 def test_criterion_10_literal_upper_bracket(series500):
     assert series500.s_partial <= F(9767, 10000)
+
+
+# sha256 of the stdout of `kstab series --max-n 500 --json`; every exact
+# entry of the ledger is pinned, so any change in value or rendering shows
+SERIES500_JSON_SHA256 = "91b9427d593d139cef599c9c058bdf845c6d43d4e70a8009bb3b4ba308b84964"
+
+
+def test_series_500_json_is_byte_identical(series500):
+    text = json.dumps(series_payload(series500), indent=1, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIES500_JSON_SHA256
 
 
 def test_criterion_11_f_partial_sum(series500):

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from kstab.cli import series_payload
 from kstab.scenarios import corpus_dir
+from kstab.series import series_sum
 
 CLI = [sys.executable, "-m", "kstab.cli"]
 
@@ -59,6 +61,39 @@ def test_verify_missing_field_exit_two(tmp_path, scenario, keys, path):
     proc = run_cli("verify", str(bad))
     assert proc.returncode == 2
     assert f"{path}: missing field" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("scenario, keys, value, path", [
+    ("27-line-flag", ("families", "L", "pieces", 0, "u"), ["1/0", "x"], "families.L[0].u[0]"),
+    ("27-line-flag", ("families", "L", "pieces", 0, "u"), ["0", "x"], "families.L[0].u[1]"),
+    ("27-line-flag", ("families", "L", "pieces", 0, "u"), ["0"], "families.L[0].u"),
+    ("27-line-flag", ("families", "L", "pieces", 0, "u"), ["0", "1", "2"], "families.L[0].u"),
+    ("27-line-flag", ("V",), "twelve", ":V"),
+    ("27-line-flag", ("V",), "0", ":V"),
+    ("27-line-flag", ("V",), "-3/2", ":V"),
+    ("27-threefold", ("threefold", "families", "S", "intervals", 0, "u"), ["0", "1/0"],
+     "threefold.S[0].u[1]"),
+    ("27-threefold", ("threefold", "triple", 0), [0, 0, 0, "2/0"], "threefold.triple[0]"),
+    ("27-threefold", ("threefold", "triple", 1), [0, 1, "-8"], "threefold.triple[1]"),
+    ("24-cusp", ("flags", "Q_on_L", "mults", "L"), "one", "flags.Q_on_L.mults.L"),
+    ("24-cusp", ("flags", "Q_on_L", "A"), "5/0", "flags.Q_on_L.A"),
+    ("24-cusp", ("flags", "Q_plain", "different", "Q2"), "1/2/3", "flags.Q_plain.different.Q2"),
+    ("24-cusp", ("flags", "Q_plain", "center"), "Nope", "flags.Q_plain.center"),
+    ("24-cone", ("flags", "Q_on_CC", "threefold_ord", 0, "u"), ["1", "y"],
+     "flags.Q_on_CC.threefold_ord[0].u[1]"),
+])
+def test_verify_malformed_value_exit_two(tmp_path, scenario, keys, value, path):
+    raw = json.loads((corpus_dir() / f"{scenario}.json").read_text())
+    parent = raw
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(raw))
+    proc = run_cli("verify", str(bad))
+    assert proc.returncode == 2
+    assert f"{path}: " in proc.stderr
     assert "Traceback" not in proc.stderr
 
 
@@ -126,6 +161,9 @@ def test_series_json_round_trip_and_f_bound():
     payload = json.loads(proc.stdout)
     rendered = json.dumps(payload, indent=1, sort_keys=True) + "\n"
     assert rendered == proc.stdout
+    # the in-process rendering the acceptance hash pins is the CLI's stdout
+    in_process = json.dumps(series_payload(series_sum(3)), indent=1, sort_keys=True) + "\n"
+    assert in_process == proc.stdout
     from fractions import Fraction
 
     assert Fraction(payload["F_partial"]) < Fraction(14, 1000)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from kstab.geometry import (
     Polygon,
+    _integrate_moments,
+    _integrate_substitution,
     integrate_polygon,
     polygon_clip,
     polygon_intersection,
@@ -146,6 +148,67 @@ def test_numeric_quadrature_cross_check(p, seed):
     exact = integrate_polygon(p, poly)
     approx = gauss_integrate(p, poly)
     assert abs(float(exact) - approx) <= 1e-9 * max(1.0, abs(float(exact)))
+
+
+quadratic_polys = st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+    st.fractions(min_value=F(-9), max_value=F(9), max_denominator=8),
+    max_size=6,
+).map(Polynomial2)
+small_rational = st.fractions(min_value=F(-2), max_value=F(2), max_denominator=6)
+clip_lines = st.tuples(small_rational, small_rational, small_rational).map(
+    lambda c: AffineForm(*c)
+)
+
+
+@st.composite
+def fast_path_polygons(draw):
+    """UNIT_SQUARE or a rational rectangle, clipped 0-2 times, then kept,
+    given collinear edge midpoints, reversed to clockwise, or flattened."""
+    if draw(st.booleans()):
+        poly = UNIT_SQUARE
+    else:
+        u0, v0 = draw(small_rational), draw(small_rational)
+        width = draw(st.fractions(min_value=F(1, 6), max_value=F(3), max_denominator=6))
+        height = draw(st.fractions(min_value=F(1, 6), max_value=F(3), max_denominator=6))
+        poly = Polygon.rectangle(u0, u0 + width, v0, v0 + height)
+    for line in draw(st.lists(clip_lines, max_size=2)):
+        poly = polygon_clip(poly, line)
+    shape = draw(st.sampled_from(["convex", "collinear", "clockwise", "degenerate"]))
+    if shape == "collinear":
+        verts = []
+        for a, b in poly.edges():
+            verts += [a, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)]
+        poly = Polygon(verts)
+    elif shape == "clockwise":
+        poly = Polygon(poly.vertices[::-1], validate=False)
+    elif shape == "degenerate":
+        line = draw(clip_lines)
+        poly = polygon_clip(polygon_clip(poly, line), -line)
+    return poly
+
+
+@given(quadratic_polys, fast_path_polygons())
+@settings(max_examples=300, deadline=None)
+def test_moments_match_substitution_exactly(p, poly):
+    """The closed-form moments path agrees with the substitution path."""
+    fast = _integrate_moments(p, poly)
+    assert fast == _integrate_substitution(p, poly)
+    assert integrate_polygon(p, poly) == fast
+    if poly.is_degenerate():
+        assert fast == 0
+
+
+def test_moments_path_handles_each_shape():
+    p = poly_from_terms([(0, 0, 1), (1, 0, -2), (1, 1, 3), (0, 2, F(1, 2))])
+    tri = Polygon([(0, 0), (2, 0), (0, 1)])
+    with_midpoints = Polygon([(0, 0), (1, 0), (2, 0), (1, F(1, 2)), (0, 1), (0, F(1, 2))])
+    clockwise = Polygon(tri.vertices[::-1], validate=False)
+    expected = _integrate_substitution(p, tri)
+    for poly in (tri, with_midpoints, clockwise):
+        assert _integrate_moments(p, poly) == expected
+    flat = Polygon([(0, 0), (1, 1), (3, 3)], validate=False)
+    assert _integrate_moments(p, flat) == 0 == _integrate_substitution(p, flat)
 
 
 def test_polygon_intersection():
