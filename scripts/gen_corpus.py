@@ -4,6 +4,11 @@
 Each scenario encodes one configuration: the curve lattice, the restriction
 families, the flags, and the expected exact values.  Running this script is
 idempotent; the JSON files it writes are the regression suite.
+
+    python3 scripts/gen_corpus.py           # rewrite src/kstab/corpus/*.json
+    python3 scripts/gen_corpus.py --check   # writes nothing: report files that
+                                            # drift from the generator, then
+                                            # verify every generated scenario
 """
 
 from __future__ import annotations
@@ -1042,28 +1047,45 @@ def build_all() -> list[dict]:
     return scenarios
 
 
-def main() -> int:
-    OUT.mkdir(parents=True, exist_ok=True)
-    scenarios = build_all()
-    for raw in scenarios:
-        path = OUT / f"{raw['id']}.json"
-        path.write_text(json.dumps(raw, indent=1) + "\n")
-        print("wrote", path.relative_to(OUT.parents[2]))
-    if "--check" in sys.argv:
-        from kstab.scenarios import run_expectations, scenario_from_dict
+def render(raw: dict) -> str:
+    """The committed text of one scenario file."""
+    return json.dumps(raw, indent=1) + "\n"
 
-        failures = 0
+
+def drifted(scenarios: list[dict]) -> list[str]:
+    """Names of corpus files that differ from, or are missing in, the generated set."""
+    texts = {f"{raw['id']}.json": render(raw) for raw in scenarios}
+    committed = {path.name: path.read_text() for path in OUT.glob("*.json")}
+    return sorted(name for name in texts.keys() | committed.keys()
+                  if texts.get(name) != committed.get(name))
+
+
+def main() -> int:
+    scenarios = build_all()
+    if "--check" not in sys.argv:
+        OUT.mkdir(parents=True, exist_ok=True)
         for raw in scenarios:
-            report = run_expectations(scenario_from_dict(raw))
-            flag = "ok " if report.ok else "FAIL"
-            print(f"[{flag}] {report.scenario_id} ({report.seconds:.2f}s)")
-            for row in report.rows:
-                if row.status != "match":
-                    failures += 1
-                    print(f"    {row.status}: {row.op} {row.args} -> "
-                          f"{row.computed!r} expected {row.expected!r} {row.detail}")
-        return 1 if failures else 0
-    return 0
+            path = OUT / f"{raw['id']}.json"
+            path.write_text(render(raw))
+            print("wrote", path.relative_to(OUT.parents[2]))
+        return 0
+
+    from kstab.scenarios import run_expectations, scenario_from_dict
+
+    failures = 0
+    for name in drifted(scenarios):
+        failures += 1
+        print(f"[DRIFT] {name} does not match the generated corpus")
+    for raw in scenarios:
+        report = run_expectations(scenario_from_dict(json.loads(render(raw))))
+        flag = "ok " if report.ok else "FAIL"
+        print(f"[{flag}] {report.scenario_id} ({report.seconds:.2f}s)")
+        for row in report.rows:
+            if row.status != "match":
+                failures += 1
+                print(f"    {row.status}: {row.op} {row.args} -> "
+                      f"{row.computed!r} expected {row.expected!r} {row.detail}")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ engine never special-cases emptiness.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from typing import Iterable, Sequence
@@ -30,13 +31,14 @@ def _cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Polygon:
     """Convex polygon with rational vertices in counter-clockwise order.
 
     May be degenerate (fewer than 3 distinct vertices, or zero area).
     """
 
-    __slots__ = ("vertices",)
+    vertices: tuple[Point, ...]
 
     def __init__(self, vertices: Sequence, validate: bool = True):
         verts = tuple(_pt(p) for p in vertices)
@@ -50,9 +52,6 @@ class Polygon:
         object.__setattr__(self, "vertices", tuple(cleaned))
         if validate and len(cleaned) >= 3:
             self._validate_convex_ccw()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polygon is immutable")
 
     def _validate_convex_ccw(self):
         verts = self.vertices
@@ -171,12 +170,6 @@ class Polygon:
             return Polygon([])
         k = min(range(len(verts)), key=lambda i: verts[i])
         return Polygon(verts[k:] + verts[:k], validate=False)
-
-    def __eq__(self, other):
-        return isinstance(other, Polygon) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
 
     def __repr__(self):
         from .rationals import format_rational as fr

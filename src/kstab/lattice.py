@@ -22,17 +22,19 @@ class LatticeError(ValueError):
     pass
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class CurveLattice:
-    """Named curve classes with a symmetric rational intersection form."""
+    """Named curve classes with a symmetric rational intersection form.
 
-    __slots__ = ("names", "gram", "anticanonical_degrees", "_index")
+    A frozen dataclass: it compares by value, copies and pickles.  The
+    constructor checks shape, symmetry, distinct names and that distinct
+    curves pair non-negatively.
+    """
 
-    def __init__(
-        self,
-        names: Sequence[str],
-        gram: Sequence[Sequence],
-        anticanonical_degrees: Sequence | None = None,
-    ):
+    names: tuple[str, ...]
+    gram: tuple[tuple[Fraction, ...], ...]
+
+    def __init__(self, names: Sequence[str], gram: Sequence[Sequence]):
         names = tuple(str(n) for n in names)
         matrix = tuple(tuple(rat(x) for x in row) for row in gram)
         n = len(names)
@@ -50,16 +52,8 @@ class CurveLattice:
                     )
         if len(set(names)) != n:
             raise LatticeError("duplicate curve names")
-        degrees = tuple(rat(x) for x in anticanonical_degrees) if anticanonical_degrees else None
-        if degrees is not None and len(degrees) != n:
-            raise LatticeError("anticanonical degree list length mismatch")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "gram", matrix)
-        object.__setattr__(self, "anticanonical_degrees", degrees)
-        object.__setattr__(self, "_index", {name: i for i, name in enumerate(names)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurveLattice is immutable")
 
     @property
     def rank(self) -> int:
@@ -67,8 +61,8 @@ class CurveLattice:
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]
-        except KeyError:
+            return self.names.index(name)
+        except ValueError:
             raise LatticeError(f"unknown curve {name!r}") from None
 
     def __repr__(self):

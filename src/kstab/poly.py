@@ -6,12 +6,15 @@ is the degree-(1,1)-truncated special case c + cu*u + cv*v used for divisor
 coefficients and chamber boundaries; affine forms are closed under the
 linear algebra the decomposition engine performs.
 
-All values are immutable after construction and safe to share.
+Both are frozen slotted dataclasses: immutable after construction, safe to
+share, and they copy, deep-copy and pickle like any value.  Each keeps its
+own coercing ``__init__`` so that a field is written once per construction.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -23,10 +26,11 @@ _ZERO = Fraction(0)
 _DEGREE_WARN = 6
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Polynomial2:
     """Exact sparse polynomial in u and v with rational coefficients."""
 
-    __slots__ = ("terms",)
+    terms: dict[tuple[int, int], Fraction]
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction] | None = None):
         clean: dict[tuple[int, int], Fraction] = {}
@@ -36,9 +40,6 @@ class Polynomial2:
                 if c:
                     clean[(int(du), int(dv))] = c
         object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("Polynomial2 is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -110,10 +111,7 @@ class Polynomial2:
 
     __rmul__ = __mul__
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial2) and self.terms == other.terms
-
-    def __hash__(self):
+    def __hash__(self):  # the terms field is a dict
         return hash(frozenset(self.terms.items()))
 
     def substitute(self, u_form: "AffineForm", v_form: "AffineForm") -> "Polynomial2":
@@ -156,18 +154,18 @@ class Polynomial2:
         return " + ".join(parts)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class AffineForm:
     """c + cu*u + cv*v with exact rational coefficients."""
 
-    __slots__ = ("c", "cu", "cv")
+    c: Fraction
+    cu: Fraction
+    cv: Fraction
 
     def __init__(self, c=0, cu=0, cv=0):
         object.__setattr__(self, "c", rat(c))
         object.__setattr__(self, "cu", rat(cu))
         object.__setattr__(self, "cv", rat(cv))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineForm is immutable")
 
     @classmethod
     def const(cls, c) -> "AffineForm":
@@ -205,17 +203,6 @@ class AffineForm:
         scalar = rat(scalar)
         return AffineForm(self.c / scalar, self.cu / scalar, self.cv / scalar)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AffineForm)
-            and self.c == other.c
-            and self.cu == other.cu
-            and self.cv == other.cv
-        )
-
-    def __hash__(self):
-        return hash((self.c, self.cu, self.cv))
-
     def to_poly(self) -> Polynomial2:
         return Polynomial2({(0, 0): self.c, (1, 0): self.cu, (0, 1): self.cv})
 
@@ -244,10 +231,6 @@ class AffineForm:
         if self.cv:
             parts.append(f"{format_rational(self.cv)}*v")
         return " + ".join(parts)
-
-
-def affine(c=0, cu=0, cv=0) -> AffineForm:
-    return AffineForm(c, cu, cv)
 
 
 def poly_from_terms(entries: Iterable[tuple[int, int, object]]) -> Polynomial2:

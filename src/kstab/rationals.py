@@ -10,8 +10,6 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def rat(x: int | str | Fraction) -> Fraction:
     """Coerce an int, Fraction, or "p/q" string to an exact rational."""

@@ -61,11 +61,32 @@ def _ctx(path: str, exc: Exception) -> ScenarioError:
     return ScenarioError(f"{path}: {exc}")
 
 
-def _field(spec: dict, key: str, path: str):
-    try:
-        return spec[key]
-    except KeyError:
-        raise ScenarioError(f"{path}.{key}: missing field") from None
+_REQUIRED = object()
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _typed(value, kind: type, path: str, length: int | None = None):
+    """value itself, if it is a JSON value of the given kind (and length)."""
+    if not isinstance(value, kind) or (length is not None and len(value) != length):
+        entries = f" of {length} entries" if length is not None else ""
+        raise ScenarioError(f"{path}: expected {_KINDS[kind]}{entries}")
+    return value
+
+
+def _field(spec, key: str, path: str, kind: type | None = None, default=_REQUIRED):
+    """spec[key], where spec is the object at path (a top-level path ends in
+    ":"); a missing optional key gives default.  The object and the value are
+    type-checked, so each iteration site of the loader gets a field path
+    instead of a traceback."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{path}: expected an object")
+    value = spec.get(key, default)
+    if value is not _REQUIRED and (kind is None or value is default or isinstance(value, kind)):
+        return value
+    field_path = f"{path}{key}" if path.endswith(":") else f"{path}.{key}"
+    if value is _REQUIRED:
+        raise ScenarioError(f"{field_path}: missing field")
+    raise ScenarioError(f"{field_path}: expected {_KINDS[kind]}")
 
 
 def _rational(value, path: str) -> Fraction:
@@ -77,16 +98,15 @@ def _rational(value, path: str) -> Fraction:
 
 def _span(spec, path: str) -> tuple[Fraction, Fraction]:
     """A two-entry [lo, hi] pair of rationals."""
-    if not isinstance(spec, (list, tuple)) or len(spec) != 2:
-        raise ScenarioError(f"{path}: needs exactly two entries")
-    return _rational(spec[0], f"{path}[0]"), _rational(spec[1], f"{path}[1]")
+    lo, hi = _typed(spec, list, path, 2)
+    return _rational(lo, f"{path}[0]"), _rational(hi, f"{path}[1]")
 
 
 def _known_curve(lattice: CurveLattice, name, path: str) -> None:
     """Reject a curve name the lattice does not declare, at load time."""
     try:
         lattice.index(name)
-    except (LatticeError, TypeError) as exc:  # TypeError: unhashable name
+    except LatticeError as exc:
         raise _ctx(path, exc) from None
 
 
@@ -147,75 +167,79 @@ class ThreefoldSpec:
 
 
 def scenario_from_dict(raw: dict, origin: str = "<memory>") -> Scenario:
-    try:
-        sid = raw["id"]
-        lemma = raw.get("lemma", "")
-        volume = _rational(raw["V"], f"{origin}:V")
-        curves = list(raw["curves"])
-        gram = raw["gram"]
-    except KeyError as exc:
-        raise ScenarioError(f"{origin}: missing field {exc}") from None
+    top = f"{origin}:"
+    _typed(raw, dict, origin)
+    sid = _field(raw, "id", top)
+    volume = _rational(_field(raw, "V", top), f"{origin}:V")
     if volume <= 0:
         raise ScenarioError(f"{origin}:V: anticanonical volume must be positive")
+    curves = _field(raw, "curves", top, list)
+    gram = _field(raw, "gram", top)
     try:
         lattice = CurveLattice(curves, [[parse_rational(x) for x in row] for row in gram])
     except Exception as exc:
         raise _ctx(f"{origin}:gram", exc) from None
 
     threefold = None
-    if raw.get("threefold"):
-        tf = raw["threefold"]
-        basis = tuple(_field(tf, "basis", f"{origin}:threefold"))
+    tf = _field(raw, "threefold", top, dict, None)
+    if tf:
+        tf_path = f"{origin}:threefold"
+        basis = tuple(_field(tf, "basis", tf_path, list))
         triple = {}
-        for idx, entry in enumerate(_field(tf, "triple", f"{origin}:threefold")):
-            path = f"{origin}:threefold.triple[{idx}]"
+        for idx, entry in enumerate(_field(tf, "triple", tf_path, list)):
+            path = f"{tf_path}.triple[{idx}]"
+            i, j, k, value = _typed(entry, list, path, 4)
             try:
-                i, j, k, value = entry
                 key = tuple(sorted((int(i), int(j), int(k))))
             except (ValueError, TypeError) as exc:
                 raise _ctx(path, exc) from None
             triple[key] = _rational(value, path)
         families = {}
-        for name, spec in tf.get("families", {}).items():
+        for name, spec in _field(tf, "families", tf_path, dict, {}).items():
             intervals = []
-            for idx, piece in enumerate(_field(spec, "intervals", f"{origin}:threefold.{name}")):
-                path = f"{origin}:threefold.{name}[{idx}]"
+            for idx, piece in enumerate(_field(spec, "intervals", f"{tf_path}.{name}", list)):
+                path = f"{tf_path}.{name}[{idx}]"
                 lo, hi = _span(_field(piece, "u", path), f"{path}.u")
-                p = tuple(_affine(c, path) for c in _field(piece, "P", path))
-                n = tuple(_affine(c, path) for c in _field(piece, "N", path))
+                p = tuple(_affine(c, path) for c in _field(piece, "P", path, list))
+                n = tuple(_affine(c, path) for c in _field(piece, "N", path, list))
                 intervals.append(ThreefoldInterval(lo, hi, p, n))
             families[name] = tuple(intervals)
         threefold = ThreefoldSpec(basis, triple, families)
 
     families: dict[str, SurfaceFamily] = {}
-    for name, spec in raw.get("families", {}).items():
+    for name, spec in _field(raw, "families", top, dict, {}).items():
+        fam_path = f"{origin}:families.{name}"
         pieces = []
-        for idx, piece in enumerate(_field(spec, "pieces", f"{origin}:families.{name}")):
-            path = f"{origin}:families.{name}[{idx}]"
+        for idx, piece in enumerate(_field(spec, "pieces", fam_path, list)):
+            path = f"{fam_path}[{idx}]"
             lo, hi = _span(_field(piece, "u", path), f"{path}.u")
-            coeffs = tuple(_affine(c, path) for c in _field(piece, "coeffs", path))
+            coeffs = tuple(_affine(c, path) for c in _field(piece, "coeffs", path, list))
             if len(coeffs) != lattice.rank:
                 raise ScenarioError(f"{path}: expected {lattice.rank} coefficients")
             pieces.append(SurfacePiece(lo, hi, ParametricDivisor(coeffs)))
-        declared = None
-        if "threshold" in spec:
-            path = f"{origin}:families.{name}.threshold"
-            declared = tuple(
-                (_rational(a, path), _rational(b, path), _affine(f, path))
-                for a, b, f in spec["threshold"]
-            )
+        declared = _field(spec, "threshold", fam_path, list, None)
+        if declared is not None:
+            entries = []
+            for idx, entry in enumerate(declared):
+                path = f"{fam_path}.threshold[{idx}]"
+                lo, hi, form = _typed(entry, list, path, 3)
+                entries.append((_rational(lo, path), _rational(hi, path), _affine(form, path)))
+            declared = tuple(entries)
         families[name] = SurfaceFamily(name, tuple(pieces), declared)
 
     flags: dict[str, FlagSpec] = {}
-    for name, spec in raw.get("flags", {}).items():
+    for name, spec in _field(raw, "flags", top, dict, {}).items():
         path = f"{origin}:flags.{name}"
-        mults = {k: _rational(v, f"{path}.mults.{k}") for k, v in spec.get("mults", {}).items()}
+        mults = {
+            k: _rational(v, f"{path}.mults.{k}")
+            for k, v in _field(spec, "mults", path, dict, {}).items()
+        }
         center = _field(spec, "center", path)
         _known_curve(lattice, center, f"{path}.center")
         for curve in mults:
             _known_curve(lattice, curve, f"{path}.mults.{curve}")
         ords = []
-        for idx, p in enumerate(spec.get("threefold_ord", [])):
+        for idx, p in enumerate(_field(spec, "threefold_ord", path, list, [])):
             ord_path = f"{path}.threefold_ord[{idx}]"
             lo, hi = _span(_field(p, "u", ord_path), f"{ord_path}.u")
             ords.append((lo, hi, _affine(_field(p, "form", ord_path), ord_path)))
@@ -225,22 +249,22 @@ def scenario_from_dict(raw: dict, origin: str = "<memory>") -> Scenario:
             weight=_rational(spec.get("A", "1"), f"{path}.A"),
             different={
                 k: _rational(v, f"{path}.different.{k}")
-                for k, v in spec.get("different", {}).items()
+                for k, v in _field(spec, "different", path, dict, {}).items()
             },
             threefold_ord=tuple(ords),
         )
-        family = spec.get("family")
+        family = _field(spec, "family", path, str, None)
         if family is not None and family not in families:
             raise ScenarioError(f"{path}: unknown family {family!r}")
         flags[name] = FlagSpec(family, data)
 
-    expectations = raw.get("expect", [])
+    expectations = _field(raw, "expect", top, list, [])
     for idx, entry in enumerate(expectations):
-        if "op" not in entry or "value" not in entry:
-            raise ScenarioError(f"{origin}:expect[{idx}]: needs op and value")
+        if not isinstance(entry, dict) or "op" not in entry or "value" not in entry:
+            raise ScenarioError(f"{origin}:expect[{idx}]: needs an object with op and value")
     return Scenario(
         id=sid,
-        lemma=lemma,
+        lemma=raw.get("lemma", ""),
         V=volume,
         lattice=lattice,
         threefold=threefold,

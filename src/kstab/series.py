@@ -15,15 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .geometry import Polygon, integrate_polygon, polygon_clip
 from .lattice import CurveLattice
 from .poly import AffineForm, Polynomial2
 from .rationals import format_decimal
 from .zariski import DivisorData, decompose_parametric, effective_threshold
-
-ANTICANONICAL_VOLUME = Fraction(14)
 
 PICARD_NAMES = ("l1", "l2", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8")
 
@@ -93,11 +90,7 @@ def b_class(n: int, kind: str, i: int | None = None) -> tuple[int, ...]:
 
 def generate_b_classes(n: int) -> list[tuple[str, tuple[int, ...]]]:
     """All seventeen verified (-1)-classes of level n, in table order."""
-    out = [(f"B({n},1,1)", b_class(n, "1", 1)), (f"B({n},1,2)", b_class(n, "1", 2))]
-    out += [(f"B({n},2,{i})", b_class(n, "2", i)) for i in range(2, 9)]
-    out.append((f"B({n},3)", b_class(n, "3")))
-    out += [(f"B({n},4,{i})", b_class(n, "4", i)) for i in range(2, 9)]
-    return out
+    return [entry for kind in (1, 2, 3, 4) for entry in kind_components(n, kind)]
 
 
 def kind_components(n: int, kind: int) -> list[tuple[str, tuple[int, ...]]]:
@@ -152,44 +145,21 @@ def interval_bounds(n: int, i: int, half: str) -> tuple[Fraction, Fraction]:
     return (left, mid) if half == "p" else (mid, right)
 
 
-@dataclass(frozen=True)
-class IntervalSchedule:
-    """The bands I_{n,i} = I'_{n,i} union I''_{n,i} for n <= n_max."""
-
-    n_max: int
-
-    def band(self, n: int, i: int) -> tuple[Fraction, Fraction]:
-        return interval_bounds(n, i, "p")[0], interval_bounds(n, i, "pp")[1]
-
-    def split(self, n: int, i: int) -> Fraction:
-        return interval_bounds(n, i, "p")[1]
-
-    def bands(self) -> Iterable[tuple[int, int, Fraction, Fraction]]:
-        for n in range(self.n_max + 1):
-            for i in (1, 2, 3, 4):
-                lo, hi = self.band(n, i)
-                yield n, i, lo, hi
-
-    def validate(self) -> None:
-        """Halves meet, consecutive bands chain, and lengths are positive."""
-        prev_right = Fraction(0)
-        for n in range(self.n_max + 1):
-            for i in (1, 2, 3, 4):
-                p_lo, p_hi = interval_bounds(n, i, "p")
-                pp_lo, pp_hi = interval_bounds(n, i, "pp")
-                if not (p_lo < p_hi == pp_lo < pp_hi):
-                    raise ValueError(f"band I_({n},{i}) is not an increasing chain")
-                if p_lo != prev_right:
-                    raise ValueError(f"band I_({n},{i}) does not chain at {p_lo}")
-                prev_right = pp_hi
-
-
-def interval_schedule(n_max: int) -> IntervalSchedule:
+def interval_schedule(n_max: int) -> None:
+    """Check the bands I_{n,i} = I'_{n,i} union I''_{n,i} for n <= n_max:
+    halves meet, consecutive bands chain, and lengths are positive."""
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
-    schedule = IntervalSchedule(n_max)
-    schedule.validate()
-    return schedule
+    prev_right = Fraction(0)
+    for n in range(n_max + 1):
+        for i in (1, 2, 3, 4):
+            p_lo, p_hi = interval_bounds(n, i, "p")
+            pp_lo, pp_hi = interval_bounds(n, i, "pp")
+            if not (p_lo < p_hi == pp_lo < pp_hi):
+                raise ValueError(f"band I_({n},{i}) is not an increasing chain")
+            if p_lo != prev_right:
+                raise ValueError(f"band I_({n},{i}) does not chain at {p_lo}")
+            prev_right = pp_hi
 
 
 # -- band decompositions -----------------------------------------------------
@@ -239,11 +209,6 @@ def band_divisor(members) -> DivisorData:
 
 @dataclass(frozen=True)
 class BandResult:
-    n: int
-    i: int
-    u_lo: Fraction
-    u_hi: Fraction
-    threshold: AffineForm
     s_term: Fraction
     m_prime: Fraction
     m_double_prime: Fraction
@@ -251,13 +216,20 @@ class BandResult:
     chamber_count: int
 
 
-def band_threshold(n: int, i: int) -> AffineForm:
+def _band_setup(n: int, i: int):
+    """Universe, divisor, the band's bounds lo < split < hi, and its threshold."""
     lat, members = band_universe(n, i)
-    lo, hi = interval_bounds(n, i, "p")[0], interval_bounds(n, i, "pp")[1]
-    pieces = effective_threshold(lat, band_divisor(members), lo, hi)
+    data = band_divisor(members)
+    lo, split = interval_bounds(n, i, "p")
+    hi = interval_bounds(n, i, "pp")[1]
+    pieces = effective_threshold(lat, data, lo, hi)
     if len(pieces) != 1:
         raise ValueError(f"band I_({n},{i}) threshold is not a single affine piece")
-    return pieces[0][2]
+    return lat, data, lo, split, hi, pieces[0][2]
+
+
+def band_threshold(n: int, i: int) -> AffineForm:
+    return _band_setup(n, i)[-1]
 
 
 def compute_band(n: int, i: int, validate: bool = False) -> BandResult:
@@ -268,14 +240,7 @@ def compute_band(n: int, i: int, validate: bool = False) -> BandResult:
     are Phi sums weighted by (ell . e1).  Components of one kind must carry
     identical coefficients (the configuration is symmetric); this is checked.
     """
-    lat, members = band_universe(n, i)
-    data = band_divisor(members)
-    lo, hi = interval_bounds(n, i, "p")[0], interval_bounds(n, i, "pp")[1]
-    split = interval_bounds(n, i, "p")[1]
-    pieces = effective_threshold(lat, data, lo, hi)
-    if len(pieces) != 1:
-        raise ValueError(f"band I_({n},{i}) threshold is not affine")
-    threshold = pieces[0][2]
+    lat, data, lo, split, hi, threshold = _band_setup(n, i)
     domain = Polygon.band(lo, hi, threshold)
     dec = decompose_parametric(lat, data, domain)
     if validate:
@@ -312,11 +277,6 @@ def compute_band(n: int, i: int, validate: bool = False) -> BandResult:
             phi.setdefault(key, []).append(values[0])
     scale = Fraction(3, 14)
     return BandResult(
-        n=n,
-        i=i,
-        u_lo=lo,
-        u_hi=hi,
-        threshold=threshold,
         s_term=s_term * scale,
         m_prime=m_lo * scale,
         m_double_prime=m_hi * scale,

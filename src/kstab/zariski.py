@@ -471,10 +471,10 @@ def oracle_check(
 # -- effective threshold -----------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class _SweepOutcome:
     threshold: AffineForm  # affine in u (cv = 0)
-    guards: list[AffineForm]  # affine in u, all must stay >= 0
+    guards: tuple[AffineForm, ...]  # affine in u, all must stay >= 0
 
 
 def effective_threshold(lat: CurveLattice, d, u_lo, u_hi) -> list[tuple[Fraction, Fraction, AffineForm]]:
@@ -603,7 +603,7 @@ def _threshold_sweep(lat, data: DivisorData, u0: Fraction) -> _SweepOutcome:
         if adds:
             new_support = sorted(set(support) | set(adds))
             if not is_negative_definite(lat, new_support):
-                return _SweepOutcome(binding_root, guards)
+                return _SweepOutcome(binding_root, tuple(guards))
             support = new_support
         elif drops:
             support = [i for i in support if i not in drops]

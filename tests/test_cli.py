@@ -82,6 +82,16 @@ def test_verify_missing_field_exit_two(tmp_path, scenario, keys, path):
     ("24-cusp", ("flags", "Q_plain", "center"), "Nope", "flags.Q_plain.center"),
     ("24-cone", ("flags", "Q_on_CC", "threefold_ord", 0, "u"), ["1", "y"],
      "flags.Q_on_CC.threefold_ord[0].u[1]"),
+    # wrongly typed containers
+    ("21-d1-fibration", ("families", "s", "threshold", 0), ["0", "1"],
+     "families.s.threshold[0]"),
+    ("24-cusp", ("families", "f", "pieces"), 3, "families.f.pieces"),
+    ("24-cusp", ("families", "f", "pieces", 0, "coeffs"), 3, "families.f[0].coeffs"),
+    ("27-threefold", ("threefold", "basis"), 3, "threefold.basis"),
+    ("24-cusp", ("curves",), 3, ":curves"),
+    ("24-cusp", ("families",), [], ":families"),
+    ("24-cusp", ("flags",), "Q_plain", ":flags"),
+    ("24-cusp", ("expect", 0), 3, "expect[0]"),
 ])
 def test_verify_malformed_value_exit_two(tmp_path, scenario, keys, value, path):
     raw = json.loads((corpus_dir() / f"{scenario}.json").read_text())

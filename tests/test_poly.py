@@ -1,10 +1,18 @@
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from kstab.geometry import Polygon
+from kstab.invariants import decompose_family
+from kstab.lattice import CurveLattice
 from kstab.poly import AffineForm, Polynomial2, integrate_interval, poly_from_terms
+from kstab.scenarios import corpus_dir, load_scenario
+from kstab.series import compute_band
 
 coeffs = st.fractions(min_value=F(-20), max_value=F(20), max_denominator=12)
 
@@ -95,3 +103,30 @@ def test_substitution_agrees_with_evaluation(u, v):
 def test_degree_warning_threshold():
     with pytest.warns(UserWarning, match="sanity threshold"):
         poly_from_terms([(7, 0, 1)])
+
+
+VALUE_TYPES = (AffineForm, Polynomial2, Polygon, CurveLattice)
+
+
+def _cusp_family():
+    scenario = load_scenario(corpus_dir() / "24-cusp.json")
+    return decompose_family(scenario.lattice, scenario.families["f"])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: AffineForm(1, "-2/3", 5),
+    lambda: Polynomial2({(2, 0): F(1, 3), (0, 1): F(-2)}),
+    lambda: Polygon.rectangle(0, 1, 0, "1/2"),
+    lambda: CurveLattice(["C", "L"], [["-1", "1"], ["1", "-2"]]),
+    lambda: compute_band(0, 1),
+    _cusp_family,
+    lambda: load_scenario(corpus_dir() / "27-threefold.json"),
+], ids=["affine", "poly", "polygon", "lattice", "band", "family", "scenario"])
+def test_values_pickle_and_deepcopy(make):
+    value = make()
+    assert pickle.loads(pickle.dumps(value)) == value
+    assert copy.deepcopy(value) == value
+    if isinstance(value, VALUE_TYPES):
+        for field in dataclasses.fields(value):
+            with pytest.raises(AttributeError):
+                setattr(value, field.name, None)

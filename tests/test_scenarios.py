@@ -1,7 +1,12 @@
+import copy
+import importlib.util
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kstab.scenarios import (
     ScenarioError,
@@ -129,3 +134,40 @@ def test_report_json_shape():
     # computed rationals render exactly, with a decimal companion
     rational_rows = [r for r in payload["rows"] if isinstance(r["computed"], dict)]
     assert any(r["computed"]["rational"] == "16/15" for r in rational_rows)
+
+
+CORPUS_RAW = {path.stem: json.loads(path.read_text()) for path in corpus_paths()}
+REPLACEMENTS = [None, 0, "x", [], {}, ["x"]]
+
+
+@given(st.sampled_from(sorted(CORPUS_RAW)), st.data())
+@settings(max_examples=300, deadline=None)
+def test_corpus_mutation_loads_or_raises_scenario_error(scenario_id, data):
+    """Delete one node of a corpus file, or replace it by a wrongly typed
+    value: the loader returns a scenario or raises ScenarioError, nothing else."""
+    raw = copy.deepcopy(CORPUS_RAW[scenario_id])
+    parent, key, node = None, None, raw
+    while isinstance(node, (dict, list)) and node:
+        if parent is not None and data.draw(st.booleans()):
+            break
+        parent = node
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        node = parent[key]
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = copy.deepcopy(data.draw(st.sampled_from(REPLACEMENTS)))
+    try:
+        scenario_from_dict(raw, origin=scenario_id)
+    except ScenarioError:
+        pass
+
+
+def test_generator_renders_the_committed_corpus():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gen_corpus.py"
+    spec = importlib.util.spec_from_file_location("gen_corpus", script)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rendered = {f"{raw['id']}.json": gen.render(raw) for raw in gen.build_all()}
+    committed = {path.name: path.read_text() for path in corpus_paths()}
+    assert rendered == committed
