@@ -364,6 +364,9 @@ def fiber_delta_bound(d: int, delta_a, on_e: bool) -> Fraction:
     return min(Fraction(16, 11), candidate)
 
 
+QUARTIC_VERDICTS = ("delta_P(X)>1", "inconclusive")
+
+
 def quartic_fiber_bound(delta_s, singular_point: bool) -> str:
     """Verdict of the quartic del Pezzo fiber criterion: delta above 54/55 at
     a smooth point (27/28 at a singular one) forces delta_P(X) > 1."""
@@ -371,4 +374,4 @@ def quartic_fiber_bound(delta_s, singular_point: bool) -> str:
     if delta_s <= 0:
         raise InvariantError("delta must be positive")
     threshold = Fraction(27, 28) if singular_point else Fraction(54, 55)
-    return "delta_P(X)>1" if delta_s > threshold else "inconclusive"
+    return QUARTIC_VERDICTS[0] if delta_s > threshold else QUARTIC_VERDICTS[1]

@@ -6,12 +6,22 @@ Distinct curves must pair non-negatively: the support closure of the Zariski
 decomposition relies on it.
 Nefness and pseudoeffectivity everywhere in this package are relative to
 this declared universe.
+
+Negativity and the Gram solves run in integers.  Each lattice stores, once,
+``scale`` (the lcm of its entry denominators) and ``int_gram`` (the Gram
+matrix times ``scale``).  ``bareiss_solve`` is one fraction-free elimination
+(Bareiss, Math. Comp. 1968) of ``[int_gram on S | R]``: every division in it
+is exact, its pivots are the leading principal minors, so it doubles as
+Sylvester's test, and its back-substitution returns det * solution as
+integers.  A caller divides once, by one common denominator, per output.
+``solve_gram`` is the ``Fraction`` elimination kept as the exact reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .poly import AffineForm
@@ -33,6 +43,9 @@ class CurveLattice:
 
     names: tuple[str, ...]
     gram: tuple[tuple[Fraction, ...], ...]
+    # derived from gram: lcm of its denominators, and gram * scale in int
+    scale: int = field(compare=False)
+    int_gram: tuple[tuple[int, ...], ...] = field(compare=False)
 
     def __init__(self, names: Sequence[str], gram: Sequence[Sequence]):
         names = tuple(str(n) for n in names)
@@ -40,13 +53,15 @@ class CurveLattice:
         n = len(names)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise LatticeError(f"gram matrix shape does not match {n} curve names")
-        for i in range(n):
+        scale = lcm(*(x.denominator for row in matrix for x in row))
+        ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in matrix)
+        for i in range(n):  # scale > 0: the int entries compare like the rationals
             for j in range(i):
-                if matrix[i][j] != matrix[j][i]:
+                if ints[i][j] != ints[j][i]:
                     raise LatticeError(
                         f"gram matrix is not symmetric at ({names[i]}, {names[j]})"
                     )
-                if matrix[i][j] < 0:
+                if ints[i][j] < 0:
                     raise LatticeError(
                         f"distinct curves {names[j]} and {names[i]} pair negatively"
                     )
@@ -54,6 +69,8 @@ class CurveLattice:
             raise LatticeError("duplicate curve names")
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "gram", matrix)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "int_gram", ints)
 
     @property
     def rank(self) -> int:
@@ -146,15 +163,10 @@ def pairing_form(lat: CurveLattice, d: ParametricDivisor, curve: int) -> AffineF
     return total
 
 
-def submatrix(lat: CurveLattice, subset: Sequence[int]) -> list[list[Fraction]]:
-    return [[lat.gram[i][j] for j in subset] for i in subset]
-
-
 def is_negative_definite(lat: CurveLattice, subset: Sequence[int]) -> bool:
     """Sylvester test on the Gram submatrix: exact leading principal minors.
 
-    Gaussian elimination without row swaps yields the leading minors as pivot
-    products; a zero pivot already rules out definiteness.  The empty set is
+    The minors are the pivots of ``bareiss_solve``; the empty set is
     vacuously negative definite.
     """
     subset = list(subset)
@@ -163,33 +175,59 @@ def is_negative_definite(lat: CurveLattice, subset: Sequence[int]) -> bool:
             raise LatticeError(f"curve index {i} out of range")
     if len(set(subset)) != len(subset):
         raise LatticeError("subset has repeated indices")
+    return bareiss_solve(lat, subset) is not None
+
+
+def bareiss_solve(lat: CurveLattice, subset: Sequence[int], rhs: Sequence[Sequence[int]] = ()):
+    """Fraction-free elimination of ``[int_gram on subset | rhs]``, no pivoting.
+
+    ``subset`` holds distinct indices in range (``is_negative_definite``
+    checks them; the engine's supports are built that way).  ``rhs`` holds
+    one row of integers per subset entry (no rows: the test alone).  The
+    k-th pivot is the k-th leading principal minor of the integer
+    submatrix, which has the sign of the rational one (``scale`` is
+    positive), so the elimination stops and returns ``None`` at the first
+    minor that breaks the (-1)^k pattern of a negative definite matrix.
+    Otherwise it returns ``(det, x)``: the determinant of the integer
+    submatrix and the integer rows x = det * solution of
+    ``int_gram_S x = rhs``, from the fraction-free back-substitution
+    x_i = (det * rhs'_i - sum_{j>i} U_ij x_j) / U_ii, every division exact.
+    """
     k = len(subset)
-    if k == 0:
-        return True
-    m = submatrix(lat, subset)
-    minor = Fraction(1)
-    for col in range(k):
-        pivot = m[col][col]
-        if pivot == 0:
-            return False
-        minor *= pivot
-        #  (-1)^(col+1) * minor > 0  <=>  alternating sign pattern
-        if minor * (-1) ** (col + 1) <= 0:
-            return False
-        for row in range(col + 1, k):
-            factor = m[row][col] / pivot
-            if factor:
-                for j in range(col, k):
-                    m[row][j] -= factor * m[col][j]
-    return True
+    width = len(rhs[0]) if rhs else 0
+    rows = [
+        [lat.int_gram[i][j] for j in subset] + (list(rhs[r]) if rhs else [])
+        for r, i in enumerate(subset)
+    ]
+    prev = 1
+    for p in range(k):
+        pivot_row = rows[p]
+        pivot = pivot_row[p]  # the (p+1)-th leading minor
+        if (pivot if p % 2 else -pivot) <= 0:
+            return None
+        tail = pivot_row[p + 1:]
+        for row in rows[p + 1:]:
+            f = row[p]
+            row[p + 1:] = [(pivot * a - f * b) // prev for a, b in zip(row[p + 1:], tail)]
+        prev = pivot
+    det = prev
+    x: list[list[int]] = [[]] * k
+    for i in range(k - 1, -1, -1):
+        row = rows[i]
+        later = [(row[j], x[j]) for j in range(i + 1, k) if row[j]]
+        x[i] = [
+            (det * row[k + c] - sum(u * xj[c] for u, xj in later)) // row[i]
+            for c in range(width)
+        ]
+    return det, x
 
 
 def solve_gram(matrix: Sequence[Sequence[Fraction]], rhs: Sequence):
     """Solve M x = rhs by exact Gaussian elimination with partial pivoting.
 
-    rhs entries may be Fractions or AffineForms (anything closed under
-    addition, subtraction, and rational scaling), so the same routine solves
-    the pointwise and the parametric chamber systems.
+    The ``Fraction`` reference for ``bareiss_solve``.  rhs entries may be
+    Fractions or AffineForms (anything closed under addition, subtraction,
+    and rational scaling).
     """
     n = len(matrix)
     m = [list(row) for row in matrix]

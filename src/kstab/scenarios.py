@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .invariants import (
+    QUARTIC_VERDICTS,
     FamilyDecomposition,
     FlagData,
     SurfaceFamily,
@@ -94,6 +95,42 @@ def _rational(value, path: str) -> Fraction:
         return parse_rational(value)
     except (ValueError, AttributeError) as exc:  # AttributeError: not a string
         raise _ctx(path, exc) from None
+
+
+_BOUND_KEYS = ({"decimal", "tol"}, {"max"}, {"min"})
+
+
+def _bound(key: str, text) -> Fraction:
+    """The rational of one key of a bound value; decimal and tol also take
+    decimal notation ("0.9767")."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {text!r}")
+    return Fraction(text) if key in ("decimal", "tol") else parse_rational(text)
+
+
+def _check_value(value, origin: str, idx: int) -> None:
+    """expect[idx].value: a rational string (or a quartic_fiber_bound
+    verdict), a bool or int, a list, or an object {decimal, tol}, {max} or
+    {min} of rationals.  The path is formatted only on error."""
+    key = None
+    try:
+        if isinstance(value, str):
+            if value not in QUARTIC_VERDICTS:
+                parse_rational(value)
+            return
+        if isinstance(value, (int, list)):  # bool is an int
+            return
+        if isinstance(value, dict) and set(value) in _BOUND_KEYS:
+            for key, text in value.items():
+                _bound(key, text)
+            return
+    except (ValueError, ZeroDivisionError) as exc:
+        path = f"{origin}:expect[{idx}].value" + (f".{key}" if key else "")
+        raise _ctx(path, exc) from None
+    raise ScenarioError(
+        f"{origin}:expect[{idx}].value: expected a rational string, a bool, an int, "
+        "a list, or an object with decimal and tol, max or min"
+    )
 
 
 def _span(spec, path: str) -> tuple[Fraction, Fraction]:
@@ -262,6 +299,7 @@ def scenario_from_dict(raw: dict, origin: str = "<memory>") -> Scenario:
     for idx, entry in enumerate(expectations):
         if not isinstance(entry, dict) or "op" not in entry or "value" not in entry:
             raise ScenarioError(f"{origin}:expect[{idx}]: needs an object with op and value")
+        _check_value(entry["value"], origin, idx)
     return Scenario(
         id=sid,
         lemma=raw.get("lemma", ""),
@@ -305,6 +343,7 @@ class ScenarioRuntime:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self._decompositions: dict[str, FamilyDecomposition] = {}
+        self._series: dict[int, object] = {}  # n_max -> series.SeriesReport
 
     def family_decomposition(self, name: str) -> FamilyDecomposition:
         if name not in self._decompositions:
@@ -313,6 +352,14 @@ class ScenarioRuntime:
                 raise ScenarioError(f"unknown family {name!r}")
             self._decompositions[name] = decompose_family(self.scenario.lattice, family)
         return self._decompositions[name]
+
+    def series_report(self, n_max: int):
+        """series_sum(n_max), computed once per runtime."""
+        if n_max not in self._series:
+            from .series import series_sum
+
+            self._series[n_max] = series_sum(n_max)
+        return self._series[n_max]
 
     def _divisor(self, spec) -> DivisorClass:
         if isinstance(spec, str):
@@ -437,26 +484,29 @@ class ScenarioRuntime:
             form = band_threshold(int(args["n"]), int(args["i"]))
             return [format_rational(form.c), format_rational(form.cu)]
         if op == "series_partial":
-            from .series import series_sum
-
-            report = series_sum(int(args["n_max"]))
+            report = self.series_report(int(args["n_max"]))
             return {"S": report.s_partial, "F": report.f_partial}[args["kind"]]
         raise ScenarioError(f"unknown quantity op {op!r}")
 
 
 def _value_matches(expected, computed) -> bool:
+    """Whether a computed result meets an expectation value that passed
+    ``_check_value``."""
     if isinstance(expected, dict):
-        if "decimal" in expected:
-            target = Fraction(expected["decimal"])
-            tol = Fraction(expected["tol"])
-            return isinstance(computed, Fraction) and abs(computed - target) <= tol
-        if "max" in expected:
-            return isinstance(computed, Fraction) and computed <= parse_rational(expected["max"])
-        if "min" in expected:
-            return isinstance(computed, Fraction) and computed >= parse_rational(expected["min"])
-        raise ScenarioError(f"unrecognized expectation value {expected!r}")
+        if not isinstance(computed, Fraction):
+            return False
+        bound = {key: _bound(key, text) for key, text in expected.items()}
+        if "decimal" in bound:
+            return abs(computed - bound["decimal"]) <= bound["tol"]
+        if "max" in bound:
+            return computed <= bound["max"]
+        return computed >= bound["min"]
     if isinstance(computed, Fraction):
-        return isinstance(expected, str) and parse_rational(expected) == computed
+        return (
+            isinstance(expected, str)
+            and expected not in QUARTIC_VERDICTS
+            and parse_rational(expected) == computed
+        )
     if isinstance(computed, bool):
         return expected is computed
     if isinstance(computed, int):

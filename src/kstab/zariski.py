@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .geometry import (
@@ -31,15 +32,15 @@ from .lattice import (
     DivisorClass,
     LatticeError,
     ParametricDivisor,
+    bareiss_solve,
     is_negative_definite,
     pairing_form,
-    solve_gram,
-    submatrix,
 )
 from .poly import AffineForm, Polynomial2
 from .rationals import format_rational, rat
 
 _MAX_CHAMBERS = 4096
+_MONOMIALS = ((0, 0), (1, 0), (0, 1))  # of the columns c, cu, cv of a pairing
 
 
 class ZariskiError(ValueError):
@@ -120,25 +121,60 @@ def _positive_part(lat: CurveLattice, pairings, self_sq, support):
     """Negative-part coefficients, P . C_j and P^2 of D on one support set.
 
     Solves P . C_i = 0 for i in the support, subtracts N from every pairing
-    and forms P^2 = D^2 - N . D.  The support must be negative definite, so
-    the Gram solve is non-singular.  Like ``solve_gram`` it is generic:
+    and forms P^2 = D^2 - N . D, all in integers.  The pairings are scaled
+    to integers r by their common denominator M: one column for Fraction
+    pairings, three (c, cu, cv) for AffineForm pairings.  ``bareiss_solve``
+    on ``int_gram`` (the Gram matrix times L = ``lat.scale``) gives det and
+    X = det * int_gram_S^-1 r, and then, each divided once at the end,
+
+        coefficients  L X_i / (M det)
+        P . C_j       (det r_j - sum_i X_i int_gram[i][j]) / (M det)
+        P^2           D^2 - L sum_i X_i r_i / (M^2 det)
+
     Fraction pairings with a Fraction D^2 give numbers, AffineForm pairings
-    with a Polynomial2 D^2 give forms and a polynomial.
+    with a Polynomial2 D^2 give forms and a polynomial.  A support that is
+    not negative definite raises ``LatticeError``.
     """
-    coeffs = (
-        solve_gram(submatrix(lat, support), [pairings[i] for i in support])
-        if support
-        else []
-    )
+    if not support:
+        return [], list(pairings), self_sq
+    affine = isinstance(pairings[0], AffineForm)
+    columns = [(f.c, f.cu, f.cv) if affine else (f,) for f in pairings]
+    m = lcm(*(x.denominator for col in columns for x in col))
+    r = [[x.numerator * (m // x.denominator) for x in col] for col in columns]
+    solved = bareiss_solve(lat, support, [r[i] for i in support])
+    if solved is None:
+        raise LatticeError("support is not negative definite")
+    det, x = solved
+    den = m * det
+
+    def value(parts):
+        if affine:
+            return AffineForm(*(Fraction(n, den) for n in parts))
+        return Fraction(parts[0], den)
+
+    coeffs = [value([lat.scale * n for n in xi]) for xi in x]
     p_pairings = list(pairings)
-    p_sq = self_sq
-    for i, c in zip(support, coeffs):
-        row = lat.gram[i]
-        for j in range(lat.rank):
-            if row[j]:
-                p_pairings[j] = p_pairings[j] - c * row[j]
-        p_sq = p_sq - c * pairings[i]
-    return coeffs, p_pairings, p_sq
+    gram_rows = [lat.int_gram[i] for i in support]
+    for j in range(lat.rank):
+        hits = [(xi, row[j]) for xi, row in zip(x, gram_rows) if row[j]]
+        if hits:
+            p_pairings[j] = value(
+                [det * rc - sum(xi[c] * g for xi, g in hits) for c, rc in enumerate(r[j])]
+            )
+    # the numerator of N . D: a product of two affine forms when affine
+    nd: dict[tuple[int, int], int] = {}
+    for i, xi in zip(support, x):
+        for (au, av), xa in zip(_MONOMIALS, xi):
+            for (bu, bv), rb in zip(_MONOMIALS, r[i]):
+                exp = (au + bu, av + bv)
+                nd[exp] = nd.get(exp, 0) + xa * rb
+    nd_den = m * den
+    if not affine:
+        return coeffs, p_pairings, self_sq - Fraction(lat.scale * nd[(0, 0)], nd_den)
+    terms = dict(self_sq.terms)
+    for exp, n in nd.items():
+        terms[exp] = terms.get(exp, 0) - Fraction(lat.scale * n, nd_den)
+    return coeffs, p_pairings, Polynomial2(terms)
 
 
 def _decomposition(rank: int, support, coeffs, p_pairings, p_sq) -> PointDecomposition:
@@ -175,12 +211,13 @@ def decompose_at(lat: CurveLattice, d) -> PointDecomposition:
         if not violations:
             break
         support = sorted(set(support) | set(violations))
-        if not is_negative_definite(lat, support):
+        try:
+            coeffs, p_pairings, p_sq = _positive_part(lat, point.pairings, point.self_sq, support)
+        except LatticeError:
             raise ZariskiError(
                 "not pseudoeffective w.r.t. universe: candidate support "
                 f"{{{', '.join(lat.names[i] for i in support)}}} is not negative definite"
-            )
-        coeffs, p_pairings, p_sq = _positive_part(lat, point.pairings, point.self_sq, support)
+            ) from None
     else:
         raise ZariskiError("support closure failed to stabilize")
     if any(c < 0 for c in coeffs):
@@ -563,9 +600,10 @@ def _threshold_sweep(lat, data: DivisorData, u0: Fraction) -> _SweepOutcome:
     except ZariskiError as exc:
         raise ZariskiError(f"not pseudoeffective at (u, v) = ({u0}, 0): {exc}") from exc
     support = list(start.support)
+    parts = _positive_part(lat, data.pairings, data.self_sq, support)
     v_cur = AffineForm(0, 0, 0)  # bottom of the current 1-D chamber, affine in u
     for _ in range(4 * rank + 8):
-        coeffs, p_pairings, p_sq = _positive_part(lat, data.pairings, data.self_sq, support)
+        coeffs, p_pairings, p_sq = parts
         events: list[tuple[Fraction, AffineForm, str, int]] = []
         constraints = [(form, "drop", i) for form, i in zip(coeffs, support)]
         constraints += [
@@ -602,11 +640,14 @@ def _threshold_sweep(lat, data: DivisorData, u0: Fraction) -> _SweepOutcome:
         drops = [idx for _, _, kind, idx in binding if kind == "drop"]
         if adds:
             new_support = sorted(set(support) | set(adds))
-            if not is_negative_definite(lat, new_support):
+            try:
+                parts = _positive_part(lat, data.pairings, data.self_sq, new_support)
+            except LatticeError:  # absorbing breaks negative definiteness
                 return _SweepOutcome(binding_root, tuple(guards))
             support = new_support
         elif drops:
             support = [i for i in support if i not in drops]
+            parts = _positive_part(lat, data.pairings, data.self_sq, support)
         v_cur = binding_root
     raise ZariskiError("threshold sweep failed to terminate")
 

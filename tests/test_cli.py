@@ -92,6 +92,11 @@ def test_verify_missing_field_exit_two(tmp_path, scenario, keys, path):
     ("24-cusp", ("families",), [], ":families"),
     ("24-cusp", ("flags",), "Q_plain", ":flags"),
     ("24-cusp", ("expect", 0), 3, "expect[0]"),
+    # expectation values of the wrong shape
+    ("delta-bounds", ("expect", 0, "value"), {}, "expect[0].value"),
+    ("delta-bounds", ("expect", 0, "value"), {"decimal": "abc", "tol": "1"},
+     "expect[0].value.decimal"),
+    ("delta-bounds", ("expect", 0, "value"), "abc", "expect[0].value"),
 ])
 def test_verify_malformed_value_exit_two(tmp_path, scenario, keys, value, path):
     raw = json.loads((corpus_dir() / f"{scenario}.json").read_text())

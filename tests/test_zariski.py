@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kstab.geometry import Polygon
-from kstab.lattice import CurveLattice, DivisorClass, ParametricDivisor
-from kstab.poly import AffineForm
+from kstab.lattice import (
+    CurveLattice,
+    DivisorClass,
+    LatticeError,
+    ParametricDivisor,
+    is_negative_definite,
+    solve_gram,
+)
+from kstab.poly import AffineForm, Polynomial2
 from kstab.zariski import (
     Chamber,
     ChamberDecomposition,
@@ -18,6 +25,7 @@ from kstab.zariski import (
     effective_threshold,
     enumerate_valid_supports,
     oracle_check,
+    _positive_part,
 )
 
 
@@ -247,3 +255,83 @@ def test_orthogonality_of_chamber_positive_parts():
     for chamber in dec.chambers:
         for i in chamber.support:
             assert chamber.p_pairings[i].is_zero()
+
+
+# -- the integer elimination against the Fraction reference ------------------
+
+_rationals = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+# half of the curve pairs meet, so that larger negative definite sets occur
+_off_diagonal = st.one_of(st.just(F(0)), st.builds(F, st.integers(1, 4), st.integers(1, 6)))
+
+
+@st.composite
+def _lattice_and_subset(draw):
+    """A random symmetric lattice of rank 1-6 (rational entries, denominators
+    up to 6, non-negative off-diagonals) and a random subset, in any order."""
+    n = draw(st.integers(1, 6))
+    gram = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = F(draw(st.integers(-36, 3)), draw(st.integers(1, 6)))
+        for j in range(i):
+            gram[i][j] = gram[j][i] = draw(_off_diagonal)
+    lat = CurveLattice([f"c{i}" for i in range(n)], gram)
+    subset = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    return lat, subset
+
+
+def _sylvester_reference(lat, subset):
+    """Leading principal minors of the Gram submatrix, each its own Fraction
+    determinant (elimination with row swaps), must alternate in sign."""
+    for k in range(1, len(subset) + 1):
+        m = [[lat.gram[i][j] for j in subset[:k]] for i in subset[:k]]
+        det = F(1)
+        for col in range(k):
+            pivot = next((r for r in range(col, k) if m[r][col]), None)
+            if pivot is None:
+                return False
+            if pivot != col:
+                m[col], m[pivot] = m[pivot], m[col]
+                det = -det
+            det *= m[col][col]
+            for r in range(col + 1, k):
+                factor = m[r][col] / m[col][col]
+                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+        if det * (-1) ** k <= 0:
+            return False
+    return True
+
+
+def _positive_part_reference(lat, pairings, self_sq, support):
+    """solve_gram on the support, then the subtraction, all in Fraction."""
+    gram = [[lat.gram[i][j] for j in support] for i in support]
+    coeffs = solve_gram(gram, [pairings[i] for i in support]) if support else []
+    p_pairings = list(pairings)
+    p_sq = self_sq
+    for i, c in zip(support, coeffs):
+        for j in range(lat.rank):
+            if lat.gram[i][j]:
+                p_pairings[j] = p_pairings[j] - c * lat.gram[i][j]
+        p_sq = p_sq - c * pairings[i]
+    return coeffs, p_pairings, p_sq
+
+
+@given(_lattice_and_subset(), st.data())
+@settings(max_examples=400, deadline=None)
+def test_integer_elimination_matches_fraction_reference(case, data):
+    lat, subset = case
+    definite = is_negative_definite(lat, subset)
+    assert definite == _sylvester_reference(lat, subset)
+    n = lat.rank
+    numbers = data.draw(st.lists(_rationals, min_size=n, max_size=n))
+    forms = [AffineForm(*data.draw(st.tuples(_rationals, _rationals, _rationals)))
+             for _ in range(n)]
+    square = Polynomial2({exp: data.draw(_rationals)
+                          for exp in [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]})
+    for pairings, self_sq in ((numbers, data.draw(_rationals)), (forms, square)):
+        if definite:
+            assert _positive_part(lat, pairings, self_sq, subset) == (
+                _positive_part_reference(lat, pairings, self_sq, subset)
+            )
+        else:
+            with pytest.raises(LatticeError):
+                _positive_part(lat, pairings, self_sq, subset)
