@@ -343,7 +343,7 @@ class ScenarioRuntime:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self._decompositions: dict[str, FamilyDecomposition] = {}
-        self._series: dict[int, object] = {}  # n_max -> series.SeriesReport
+        self._bands: dict[tuple[int, int], object] = {}  # (n, i) -> series.BandResult
 
     def family_decomposition(self, name: str) -> FamilyDecomposition:
         if name not in self._decompositions:
@@ -353,13 +353,14 @@ class ScenarioRuntime:
             self._decompositions[name] = decompose_family(self.scenario.lattice, family)
         return self._decompositions[name]
 
-    def series_report(self, n_max: int):
-        """series_sum(n_max), computed once per runtime."""
-        if n_max not in self._series:
-            from .series import series_sum
+    def band(self, n: int, i: int):
+        """series.compute_band(n, i), computed once per runtime; the band
+        source of every series op."""
+        if (n, i) not in self._bands:
+            from . import series
 
-            self._series[n_max] = series_sum(n_max)
-        return self._series[n_max]
+            self._bands[(n, i)] = series.compute_band(n, i)
+        return self._bands[(n, i)]
 
     def _divisor(self, spec) -> DivisorClass:
         if isinstance(spec, str):
@@ -477,15 +478,18 @@ class ScenarioRuntime:
         if op == "series_term":
             from .series import series_term
 
-            return series_term(int(args["n"]), int(args["i"]), args["kind"])
+            return series_term(int(args["n"]), int(args["i"]), args["kind"], self.band)
         if op == "series_threshold":
-            from .series import band_threshold
-
-            form = band_threshold(int(args["n"]), int(args["i"]))
+            form = self.band(int(args["n"]), int(args["i"])).threshold
             return [format_rational(form.c), format_rational(form.cu)]
         if op == "series_partial":
-            report = self.series_report(int(args["n_max"]))
-            return {"S": report.s_partial, "F": report.f_partial}[args["kind"]]
+            from .series import series_sum
+
+            kind = args["kind"]
+            if kind not in ("S", "F"):
+                raise ValueError(f"unknown series partial kind {kind!r}")
+            report = series_sum(int(args["n_max"]), self.band)
+            return report.s_partial if kind == "S" else report.f_partial
         raise ScenarioError(f"unknown quantity op {op!r}")
 
 

@@ -165,14 +165,18 @@ def interval_schedule(n_max: int) -> None:
 # -- band decompositions -----------------------------------------------------
 
 
-def band_universe(n: int, i: int) -> tuple[CurveLattice, list[tuple[str, tuple[int, ...]]]]:
+# (name, Picard vector, (level, kind)); the (level, kind) of e1 is None
+BandMember = tuple[str, tuple[int, ...], tuple[int, int] | None]
+
+
+def band_universe(n: int, i: int) -> tuple[CurveLattice, list[BandMember]]:
     """e1 plus the components of the kinds that can support N on band I_{n,i}.
 
     Kind i-1 is included as an extra nefness witness; kind 0 of level n is
     kind 4 of level n-1 and kind 5 is kind 1 of level n+1.
     """
     e1 = tuple(int(name == "e1") for name in PICARD_NAMES)
-    members: list[tuple[str, tuple[int, ...]]] = [("e1", e1)]
+    members: list[BandMember] = [("e1", e1, None)]
     for kind in (i - 1, i, i + 1):
         level = n
         if kind == 0:
@@ -181,11 +185,13 @@ def band_universe(n: int, i: int) -> tuple[CurveLattice, list[tuple[str, tuple[i
             level, kind = n - 1, 4
         elif kind == 5:
             level, kind = n + 1, 1
-        members.extend(kind_components(level, kind))
-    names = [name for name, _ in members]
+        members.extend(
+            (name, vector, (level, kind)) for name, vector in kind_components(level, kind)
+        )
+    names = [name for name, _, _ in members]
     gram = [
-        [picard_pair(a, b) for _, b in members]
-        for _, a in members
+        [picard_pair(a, b) for _, b, _ in members]
+        for _, a, _ in members
     ]
     return CurveLattice(names, gram), members
 
@@ -195,7 +201,7 @@ def band_divisor(members) -> DivisorData:
     three_minus_u = AffineForm(3, -1, 0)
     one_plus_v = AffineForm(1, 0, 1)
     pairings = []
-    for _, vector in members:
+    for _, vector, _ in members:
         form = three_minus_u * (vector[0] + vector[1]) + one_plus_v * vector[2]
         pairings.append(form + AffineForm(sum(vector[3:]), 0, 0))
     # d^2 = 2 (3-u)^2 - (1+v)^2 - 7
@@ -214,10 +220,18 @@ class BandResult:
     m_double_prime: Fraction
     phi_by_kind: dict[tuple[int, int], Fraction]  # (level, kind) -> per-component Phi
     chamber_count: int
+    threshold: AffineForm  # the effective threshold t(u) bounding the band
 
 
-def _band_setup(n: int, i: int):
-    """Universe, divisor, the band's bounds lo < split < hi, and its threshold."""
+def compute_band(n: int, i: int) -> BandResult:
+    """Decompose one band and integrate its S, M', M'' and Phi ledger entries.
+
+    The band is lo <= u <= hi, 0 <= v <= t(u) with t its effective threshold.
+    Phi for a component ell of kind (level, kind) is the integral
+    (3/7) double-int (P . e1) * coeff_ell dv du over the band; the F-terms
+    are Phi sums weighted by (ell . e1).  Components of one kind must carry
+    identical coefficients (the configuration is symmetric); this is checked.
+    """
     lat, members = band_universe(n, i)
     data = band_divisor(members)
     lo, split = interval_bounds(n, i, "p")
@@ -225,33 +239,9 @@ def _band_setup(n: int, i: int):
     pieces = effective_threshold(lat, data, lo, hi)
     if len(pieces) != 1:
         raise ValueError(f"band I_({n},{i}) threshold is not a single affine piece")
-    return lat, data, lo, split, hi, pieces[0][2]
-
-
-def band_threshold(n: int, i: int) -> AffineForm:
-    return _band_setup(n, i)[-1]
-
-
-def compute_band(n: int, i: int, validate: bool = False) -> BandResult:
-    """Decompose one band and integrate its S, M', M'' and Phi ledger entries.
-
-    Phi for a component ell of kind (level, kind) is the integral
-    (3/7) double-int (P . e1) * coeff_ell dv du over the band; the F-terms
-    are Phi sums weighted by (ell . e1).  Components of one kind must carry
-    identical coefficients (the configuration is symmetric); this is checked.
-    """
-    lat, data, lo, split, hi, threshold = _band_setup(n, i)
-    domain = Polygon.band(lo, hi, threshold)
-    dec = decompose_parametric(lat, data, domain)
-    if validate:
-        dec.validate_continuity()
-    kind_of: dict[int, tuple[int, int]] = {}
-    for idx, name in enumerate(lat.names):
-        if name == "e1":
-            continue
-        level = int(name.split("(")[1].split(",")[0])
-        kind = int(name[name.index(",") + 1])
-        kind_of[idx] = (level, kind)
+    threshold = pieces[0][2]
+    dec = decompose_parametric(lat, data, Polygon.band(lo, hi, threshold))
+    kind_of = [key for _, _, key in members]
     e1_idx = lat.index("e1")
     s_term = Fraction(0)
     m_lo = Fraction(0)
@@ -282,6 +272,7 @@ def compute_band(n: int, i: int, validate: bool = False) -> BandResult:
         m_double_prime=m_hi * scale,
         phi_by_kind={k: sum(v, Fraction(0)) * Fraction(3, 7) for k, v in phi.items()},
         chamber_count=len(dec.chambers),
+        threshold=threshold,
     )
 
 
@@ -321,34 +312,46 @@ class SeriesReport:
         return float(last * self.n_max)
 
 
-def series_sum(n_max: int, validate: bool = False) -> SeriesReport:
+def _feeding_bands(n: int, i: int) -> tuple[tuple[int, int], ...]:
+    """The bands whose negative parts can carry kind (n, i): its own band
+    and the one before, which is band (n-1, 4) when i = 1."""
+    if i > 1:
+        return ((n, i - 1), (n, i))
+    if n > 0:
+        return ((n - 1, 4), (n, 1))
+    return ((0, 1),)
+
+
+def _f_term(n: int, i: int, band) -> Fraction:
+    """F_{n,i}: the Phi of kind (n, i) over its feeding bands, times (ell . e1)."""
+    phi = sum(
+        (band(*key).phi_by_kind.get((n, i), Fraction(0)) for key in _feeding_bands(n, i)),
+        Fraction(0),
+    )
+    return phi * e1_pairing_coefficient(n, i)
+
+
+def series_sum(n_max: int, band=None) -> SeriesReport:
     """Exact S / M / F ledger for all n <= n_max.
 
-    F_{n,i} needs the bands of levels n and n-1, all of which are computed
-    here; the reduction walks them in band order.
+    ``band(n, i) -> BandResult`` is the band source, called once per band
+    in band order; None means ``compute_band``.  F_{n,i} reads the bands
+    that feed kind (n, i), all of level n or n-1.
     """
     if n_max < 0:
         raise ValueError("n_max must be non-negative")
     interval_schedule(n_max)  # validates the chaining once
-    keys = [(n, i) for n in range(n_max + 1) for i in (1, 2, 3, 4)]
-    results = {key: compute_band(*key, validate=validate) for key in keys}
-    phi_total: dict[tuple[int, int], Fraction] = {}
-    for band in results.values():
-        for key, value in band.phi_by_kind.items():
-            phi_total[key] = phi_total.get(key, Fraction(0)) + value
+    source = compute_band if band is None else band
+    results = {(n, i): source(n, i) for n in range(n_max + 1) for i in (1, 2, 3, 4)}
     entries = []
     for n in range(n_max + 1):
-        s_terms = tuple(results[(n, i)].s_term for i in (1, 2, 3, 4))
-        m_terms = tuple(
-            (results[(n, i)].m_prime, results[(n, i)].m_double_prime) for i in (1, 2, 3, 4)
-        )
-        # every kind of level n receives all its band contributions within
-        # n_max: kind (n, 1) also draws from band (n-1, 4), already computed
-        f_terms = tuple(
-            phi_total.get((n, i), Fraction(0)) * e1_pairing_coefficient(n, i)
-            for i in (1, 2, 3, 4)
-        )
-        entries.append(SeriesEntry(n, s_terms, m_terms, f_terms))
+        bands = [results[(n, i)] for i in (1, 2, 3, 4)]
+        entries.append(SeriesEntry(
+            n,
+            tuple(b.s_term for b in bands),
+            tuple((b.m_prime, b.m_double_prime) for b in bands),
+            tuple(_f_term(n, i, lambda m, k: results[m, k]) for i in (1, 2, 3, 4)),
+        ))
     s_partial = sum((sum(e.s_terms, Fraction(0)) for e in entries), Fraction(0))
     m_partial = sum(
         (sum((a + b for a, b in e.m_terms), Fraction(0)) for e in entries), Fraction(0)
@@ -357,23 +360,17 @@ def series_sum(n_max: int, validate: bool = False) -> SeriesReport:
     return SeriesReport(n_max, tuple(entries), s_partial, m_partial, f_partial)
 
 
-def series_term(n: int, i: int, kind: str) -> Fraction:
-    """One ledger entry: kind in {"S", "Mp", "Mpp", "F"}."""
-    if kind in ("S", "Mp", "Mpp"):
-        band = compute_band(n, i)
-        return {"S": band.s_term, "Mp": band.m_prime, "Mpp": band.m_double_prime}[kind]
+def series_term(n: int, i: int, kind: str, band=None) -> Fraction:
+    """One ledger entry: kind in {"S", "Mp", "Mpp", "F"}.
+
+    ``band(n, i) -> BandResult`` is the band source; None means
+    ``compute_band``.  S, M' and M'' read band (n, i); F reads the bands
+    that feed kind (n, i).
+    """
+    source = compute_band if band is None else band
     if kind == "F":
-        # kind (n, i) can appear in the negative part on its own band and on
-        # the previous one (which is band (n-1, 4) when i = 1)
-        if i > 1:
-            bands = [(n, i - 1), (n, i)]
-        elif n > 0:
-            bands = [(n - 1, 4), (n, 1)]
-        else:
-            bands = [(0, 1)]
-        total = Fraction(0)
-        for bn, bi in bands:
-            band = compute_band(bn, bi)
-            total += band.phi_by_kind.get((n, i), Fraction(0))
-        return total * e1_pairing_coefficient(n, i)
+        return _f_term(n, i, source)
+    if kind in ("S", "Mp", "Mpp"):
+        result = source(n, i)
+        return {"S": result.s_term, "Mp": result.m_prime, "Mpp": result.m_double_prime}[kind]
     raise ValueError(f"unknown series term kind {kind!r}")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstab import series
 from kstab.scenarios import (
     ScenarioError,
     corpus_dir,
@@ -63,10 +64,29 @@ def test_wrong_expectation_reports_mismatch():
 
 def test_unknown_op_reports_error_row():
     raw = cusp_raw()
-    raw["expect"] = [{"op": "no_such_quantity", "args": {}, "value": "1"}]
+    raw["expect"] = [
+        {"op": "no_such_quantity", "args": {}, "value": "1"},
+        {"op": "series_partial", "args": {"n_max": 0, "kind": "M"}, "value": "1"},
+    ]
     report = run_expectations(scenario_from_dict(raw))
-    assert report.rows[0].status == "error"
+    assert [row.status for row in report.rows] == ["error", "error"]
+    assert report.rows[1].detail == "unknown series partial kind 'M'"
     assert report.errored
+
+
+def test_series_ops_compute_each_band_once(monkeypatch):
+    calls = []
+    compute_band = series.compute_band
+
+    def counted(n, i):
+        calls.append((n, i))
+        return compute_band(n, i)
+
+    monkeypatch.setattr(series, "compute_band", counted)
+    report = run_expectations(load_scenario(corpus_dir() / "27-series.json"))
+    assert all(row.status == "match" for row in report.rows)
+    assert len(calls) == 28
+    assert set(calls) == {(n, i) for n in range(7) for i in (1, 2, 3, 4)}
 
 
 def test_malformed_json_raises_with_position(tmp_path):

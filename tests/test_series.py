@@ -3,10 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from kstab.closed_forms import f_closed, m_closed, s_closed
+from kstab.geometry import Polygon
 from kstab.series import (
     BClassError,
+    _feeding_bands,
     b_class,
-    band_threshold,
+    band_divisor,
+    band_universe,
     compute_band,
     e1_pairing_coefficient,
     generate_b_classes,
@@ -16,6 +19,7 @@ from kstab.series import (
     series_sum,
     series_term,
 )
+from kstab.zariski import decompose_parametric
 
 
 def test_b_class_table_first_rows():
@@ -63,9 +67,22 @@ def test_band_threshold_matches_closed_form():
         expected_num = 17 + 56 * n + 56 * n * n
         expected_slope = 15 + 56 * n + 56 * n * n
         den = 7 * (1 + n) * (1 + 2 * n)
-        form = band_threshold(n, 2)
+        form = compute_band(n, 2).threshold
         assert form.c == F(expected_num, den)
         assert form.cu == F(-expected_slope, den)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_bands_are_continuous_and_feed_only_their_kinds(n):
+    for i in (1, 2, 3, 4):
+        band = compute_band(n, i)
+        lat, members = band_universe(n, i)
+        lo = interval_bounds(n, i, "p")[0]
+        hi = interval_bounds(n, i, "pp")[1]
+        domain = Polygon.band(lo, hi, band.threshold)
+        decompose_parametric(lat, band_divisor(members), domain).validate_continuity()
+        # F_{n,i} reads only the feeding bands, so no Phi may land elsewhere
+        assert all((n, i) in _feeding_bands(*kind) for kind in band.phi_by_kind)
 
 
 def test_first_band_ledger_values():

@@ -227,9 +227,9 @@ def test_effective_threshold_nodal():
 
 
 def test_effective_threshold_series_band():
-    from kstab.series import band_threshold
+    from kstab.series import compute_band
 
-    assert band_threshold(0, 2) == AffineForm(F(17, 7), F(-15, 7), 0)
+    assert compute_band(0, 2).threshold == AffineForm(F(17, 7), F(-15, 7), 0)
 
 
 def test_effective_threshold_unbounded_error():
