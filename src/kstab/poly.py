@@ -57,9 +57,6 @@ class Polynomial2:
 
     # -- queries -----------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def degrees(self) -> tuple[int, int]:
         if not self.terms:
             return (0, 0)
@@ -92,9 +89,6 @@ class Polynomial2:
         for exp, coeff in other.terms.items():
             out[exp] = out.get(exp, _ZERO) - coeff
         return Polynomial2(out)
-
-    def __neg__(self) -> "Polynomial2":
-        return Polynomial2({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial2":
         if isinstance(other, AffineForm):
@@ -167,10 +161,6 @@ class AffineForm:
         object.__setattr__(self, "cu", rat(cu))
         object.__setattr__(self, "cv", rat(cv))
 
-    @classmethod
-    def const(cls, c) -> "AffineForm":
-        return cls(c, 0, 0)
-
     def __call__(self, u, v) -> Fraction:
         return self.c + self.cu * rat(u) + self.cv * rat(v)
 
@@ -198,10 +188,6 @@ class AffineForm:
         return AffineForm(self.c * scalar, self.cu * scalar, self.cv * scalar)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "AffineForm":
-        scalar = rat(scalar)
-        return AffineForm(self.c / scalar, self.cu / scalar, self.cv / scalar)
 
     def to_poly(self) -> Polynomial2:
         return Polynomial2({(0, 0): self.c, (1, 0): self.cu, (0, 1): self.cv})

@@ -46,7 +46,6 @@ from .lattice import (
     DivisorClass,
     LatticeError,
     ParametricDivisor,
-    is_negative_definite,
     pair,
 )
 from .poly import AffineForm, Polynomial2, poly_from_terms
@@ -337,6 +336,23 @@ def load_corpus() -> list[Scenario]:
 # -- evaluation --------------------------------------------------------------
 
 
+def _int_arg(args: dict, key: str, minimum: int | None = None, default: int | None = None) -> int:
+    """``args[key]`` as a JSON integer (not a bool), at least ``minimum``."""
+    value = args[key] if default is None else args.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"argument {key!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ScenarioError(f"argument {key!r} must be >= {minimum}, got {value}")
+    return value
+
+
+def _bool_arg(args: dict, key: str) -> bool:
+    value = args[key]
+    if not isinstance(value, bool):
+        raise ScenarioError(f"argument {key!r} must be a boolean, got {value!r}")
+    return value
+
+
 class ScenarioRuntime:
     """Evaluates expectation operations against one scenario, with caching."""
 
@@ -397,9 +413,6 @@ class ScenarioRuntime:
         lat = scenario.lattice
         if op == "pair":
             return pair(lat, self._divisor(args["a"]), self._divisor(args["b"]))
-        if op == "is_negative_definite":
-            subset = [lat.index(name) for name in args["subset"]]
-            return is_negative_definite(lat, subset)
         if op == "s_threefold":
             if scenario.threefold is None:
                 raise ScenarioError("scenario has no threefold data")
@@ -445,14 +458,15 @@ class ScenarioRuntime:
         if op == "chamber_pairing":
             famdec = self.family_decomposition(args["family"])
             chambers = list(famdec.chambers())
-            chamber = chambers[int(args["chamber"])]
+            chamber = chambers[_int_arg(args, "chamber", minimum=0)]
             form = chamber.p_pairings[lat.index(args["curve"])]
             return [format_rational(form.c), format_rational(form.cu), format_rational(form.cv)]
         if op == "oracle":
             famdec = self.family_decomposition(args["family"])
-            samples = int(args.get("samples", 20))
+            samples = _int_arg(args, "samples", minimum=1, default=20)
+            seed = _int_arg(args, "seed", default=7)
             for _, dec in famdec.parts:
-                report = oracle_check(lat, dec.divisor, dec, samples, seed=int(args.get("seed", 7)))
+                report = oracle_check(lat, dec.divisor, dec, samples, seed=seed)
                 if not report.passed:
                     return False
             return True
@@ -472,15 +486,18 @@ class ScenarioRuntime:
         if op == "delta_min":
             return delta_min_combinator([(rat(n), rat(d)) for n, d in args["terms"]])
         if op == "fiber_delta_bound":
-            return fiber_delta_bound(int(args["d"]), rat(args["delta"]), bool(args["on_E"]))
+            return fiber_delta_bound(
+                _int_arg(args, "d"), rat(args["delta"]), _bool_arg(args, "on_E")
+            )
         if op == "quartic_fiber_bound":
-            return quartic_fiber_bound(rat(args["delta"]), bool(args["singular"]))
+            return quartic_fiber_bound(rat(args["delta"]), _bool_arg(args, "singular"))
         if op == "series_term":
             from .series import series_term
 
-            return series_term(int(args["n"]), int(args["i"]), args["kind"], self.band)
+            n, i = _int_arg(args, "n"), _int_arg(args, "i")
+            return series_term(n, i, args["kind"], self.band)
         if op == "series_threshold":
-            form = self.band(int(args["n"]), int(args["i"])).threshold
+            form = self.band(_int_arg(args, "n"), _int_arg(args, "i")).threshold
             return [format_rational(form.c), format_rational(form.cu)]
         if op == "series_partial":
             from .series import series_sum
@@ -488,7 +505,7 @@ class ScenarioRuntime:
             kind = args["kind"]
             if kind not in ("S", "F"):
                 raise ValueError(f"unknown series partial kind {kind!r}")
-            report = series_sum(int(args["n_max"]), self.band)
+            report = series_sum(_int_arg(args, "n_max"), self.band)
             return report.s_partial if kind == "S" else report.f_partial
         raise ScenarioError(f"unknown quantity op {op!r}")
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import lcm
 from typing import Sequence
 
@@ -386,7 +387,7 @@ def decompose_parametric(lat: CurveLattice, d, domain: Polygon) -> ChamberDecomp
             break
         piece = pieces.pop()
         built = None
-        for sample in _candidate_points(piece, limit=48):
+        for sample in islice(piece.interior_points(), 48):
             if not piece.contains(sample):
                 continue
             try:
@@ -426,20 +427,11 @@ def decompose_parametric(lat: CurveLattice, d, domain: Polygon) -> ChamberDecomp
         pieces = next_pieces
     else:
         raise ZariskiError("chamber count exceeded the safety cap")
-    chambers.sort(key=lambda c: (c.support, c.region.canonical().vertices))
+    chambers.sort(key=lambda c: (c.support, c.region.vertices))
     decomposition = ChamberDecomposition(lat, data, domain, tuple(chambers))
     decomposition.validate_partition()
     decomposition.validate_orthogonality()
     return decomposition
-
-
-def _candidate_points(piece: Polygon, limit: int):
-    count = 0
-    for point in piece.interior_points():
-        yield point
-        count += 1
-        if count >= limit:
-            return
 
 
 def _subtract(piece: Polygon, halfplanes: Sequence[AffineForm]) -> list[Polygon]:

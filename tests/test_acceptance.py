@@ -223,9 +223,17 @@ def test_criterion_10_series_partial_sum(series500):
     # below the limit; the printed limit 0.976712233... agrees to 1e-9
     assert all(s_closed(501, i) > 0 for i in (1, 2, 3, 4))
     assert abs(partial - F("0.976712233")) < F(1, 10**9)
-    # engine terms equal the closed forms along the whole partial sum
-    for n in (7, 63, 250, 500):
-        assert per_n[n] == sum(s_closed(n, i) for i in (1, 2, 3, 4)), n
+    # every engine entry equals its closed form along the whole partial sum
+    for entry in report_obj.entries:
+        n = entry.n
+        for i, s, (mp, mpp), f in zip(
+            (1, 2, 3, 4), entry.s_terms, entry.m_terms, entry.f_terms, strict=True
+        ):
+            assert s == s_closed(n, i), ("S", n, i)
+            assert mp == m_closed(n, i, "p"), ("M'", n, i)
+            assert mpp == m_closed(n, i, "pp"), ("M''", n, i)
+            assert f == f_closed(n, i), ("F", n, i)
+    assert [entry.n for entry in report_obj.entries] == list(range(501))
     report("10", f"S partial at 500 = {report_obj.s_decimal}, increasing, below the limit")
 
 

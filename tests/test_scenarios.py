@@ -160,6 +160,34 @@ CORPUS_RAW = {path.stem: json.loads(path.read_text()) for path in corpus_paths()
 REPLACEMENTS = [None, 0, "x", [], {}, ["x"]]
 
 
+@pytest.mark.parametrize("scenario_id, op, key, value", [
+    ("delta-bounds", "fiber_delta_bound", "d", 2.9),
+    ("delta-bounds", "fiber_delta_bound", "d", True),
+    ("delta-bounds", "fiber_delta_bound", "on_E", "false"),
+    ("27-threefold", "quartic_fiber_bound", "singular", 0),
+    ("27-series", "series_term", "n", 0.5),
+    ("27-series", "series_term", "i", True),
+    ("27-series", "series_threshold", "n", "0"),
+    ("27-series", "series_partial", "n_max", 6.0),
+    ("24-cusp", "oracle", "samples", 0),
+    ("24-cusp", "oracle", "samples", -3),
+    ("24-cusp", "oracle", "seed", "7"),
+    ("24-cusp", "chamber_pairing", "chamber", -1),
+])
+def test_malformed_expectation_argument_is_an_error_row(scenario_id, op, key, value):
+    """An argument of the wrong JSON type or out of range is an error row
+    naming it, never a coerced value or a vacuous check."""
+    raw = copy.deepcopy(CORPUS_RAW[scenario_id])
+    entry = next(e for e in raw["expect"] if e["op"] == op)
+    entry["args"][key] = value
+    raw["expect"] = [entry]
+    report = run_expectations(scenario_from_dict(raw))
+    (row,) = report.rows
+    assert row.status == "error"
+    assert repr(key) in row.detail
+    assert report.errored
+
+
 @given(st.sampled_from(sorted(CORPUS_RAW)), st.data())
 @settings(max_examples=300, deadline=None)
 def test_corpus_mutation_loads_or_raises_scenario_error(scenario_id, data):

@@ -232,6 +232,24 @@ def test_effective_threshold_series_band():
     assert compute_band(0, 2).threshold == AffineForm(F(17, 7), F(-15, 7), 0)
 
 
+def test_effective_threshold_through_a_drop():
+    # (2 - v)E + (1 + u)F: E leaves the support at v = 1 - u, and the sweep
+    # stops at v = 2, where absorbing F would break negative definiteness
+    lat = CurveLattice(["E", "F"], [[-1, 1], [1, 0]])
+    d = ParametricDivisor((AffineForm(2, 0, -1), AffineForm(1, 1, 0)))
+    assert effective_threshold(lat, d, 0, F(1, 2)) == [(0, F(1, 2), AffineForm(2, 0, 0))]
+    assert effective_threshold(lat, d, F(1, 4), F(1, 4)) == [
+        (F(1, 4), F(1, 4), AffineForm(2, 0, 0))
+    ]
+    dec = decompose_parametric(lat, d, Polygon.band(0, F(1, 2), AffineForm(2)))
+    assert [(c.support, c.region.vertices) for c in dec.chambers] == [
+        ((), ((0, 1), (F(1, 2), F(1, 2)), (F(1, 2), 2), (0, 2))),
+        ((0,), ((0, 0), (F(1, 2), 0), (F(1, 2), F(1, 2)), (0, 1))),
+    ]
+    assert dec.chambers[1].neg_coeffs == (AffineForm(1, -1, -1),)
+    assert oracle_check(lat, d, dec, 50, seed=3).passed
+
+
 def test_effective_threshold_unbounded_error():
     lat = CurveLattice(["a"], [[-1]])
     d = ParametricDivisor.of((AffineForm(1, 0, 1),))  # grows with v, stays feasible
