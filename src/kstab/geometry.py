@@ -1,65 +1,101 @@
 """Rational convex polygons, half-plane clipping, and exact double integrals.
 
 Chambers of the parameter rectangle are convex polygons with rational
-vertices.  Integration is fan triangulation from vertex 0, by one of two
-exact paths.  An integrand whose every term has total degree <= 2 (every
-integrand the chamber engine produces) uses closed-form fan moments in
-integer arithmetic.  Higher degrees use an affine substitution onto the
-standard triangle, where monomials integrate to a!b!/(a+b+2)!.  Degenerate
-(zero-area) polygons are legal everywhere and integrate to 0, so the chamber
-engine never special-cases emptiness.
+vertices, stored as integer numerators over one positive common denominator
+W in lowest terms.  Clipping, the canonical form, area, containment, the fan
+moments and the vertex minimum all run on those integers and build at most
+one ``Fraction``, at their output.  Integration is fan triangulation from
+vertex 0, by one of two exact paths.  An integrand whose every term has
+total degree <= 2 (every integrand the chamber engine produces) uses
+closed-form fan moments in integer arithmetic.  Higher degrees use an affine
+substitution onto the standard triangle, where monomials integrate to
+a!b!/(a+b+2)!.  Degenerate (zero-area) polygons are legal everywhere and
+integrate to 0, so the chamber engine never special-cases emptiness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import AffineForm, Polynomial2
 from .rationals import rat
 
 Point = tuple[Fraction, Fraction]
+_QUADRATIC = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
-def _pt(p) -> Point:
-    return (rat(p[0]), rat(p[1]))
+def _over_lcm(*values) -> tuple[int, list[int]]:
+    """(m, [m * x for x in values]): rationals scaled to ints by the lcm m of
+    their denominators."""
+    qs = [rat(x) for x in values]
+    m = lcm(*(q.denominator for q in qs))
+    return m, [q.numerator * (m // q.denominator) for q in qs]
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
+def _cross(o, a, b):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _quadratic_at(c: Sequence[int], w: int, x: int, y: int) -> int:
+    """m * w^2 * p(x / w, y / w) for c = m * (p's coefficients of 1, u, v,
+    u^2, uv, v^2), the order of _QUADRATIC."""
+    return (c[0] * w + c[1] * x + c[2] * y) * w + c[3] * x * x + c[4] * x * y + c[5] * y * y
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class Polygon:
     """Convex polygon with rational vertices in counter-clockwise order.
 
-    May be degenerate (fewer than 3 distinct vertices, or zero area).
+    Vertex i is (points[i][0] / den, points[i][1] / den), with den > 0 and
+    gcd(den, every coordinate) == 1.  That form is unique, so ``==``, the
+    hash and pickling see the vertex values.  ``vertices`` gives them back
+    as ``Fraction`` pairs.  May be degenerate (fewer than 3 distinct
+    vertices, or zero area).
     """
 
-    vertices: tuple[Point, ...]
+    den: int
+    points: tuple[tuple[int, int], ...]
 
     def __init__(self, vertices: Sequence, validate: bool = True):
-        verts = tuple(_pt(p) for p in vertices)
-        # drop consecutive duplicates (closing duplicate included)
-        cleaned: list[Point] = []
-        for p in verts:
+        scaled = [_over_lcm(*p) for p in vertices]
+        den = lcm(*(m for m, _ in scaled))
+        self._set(den, [(x * (den // m), y * (den // m)) for m, (x, y) in scaled])
+        if validate and len(self.points) >= 3:
+            self._validate_convex_ccw()
+
+    @classmethod
+    def _from_ints(cls, den: int, points: Sequence[tuple[int, int]]) -> "Polygon":
+        poly = object.__new__(cls)
+        poly._set(den, points)
+        return poly
+
+    def _set(self, den: int, points: Sequence[tuple[int, int]]) -> None:
+        # drop consecutive duplicates (closing duplicate included), then
+        # reduce to lowest terms
+        cleaned: list[tuple[int, int]] = []
+        for p in points:
             if not cleaned or p != cleaned[-1]:
                 cleaned.append(p)
         if len(cleaned) > 1 and cleaned[0] == cleaned[-1]:
             cleaned.pop()
-        object.__setattr__(self, "vertices", tuple(cleaned))
-        if validate and len(cleaned) >= 3:
-            self._validate_convex_ccw()
+        g = gcd(den, *(c for p in cleaned for c in p))
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "points", tuple((x // g, y // g) for x, y in cleaned))
 
     def _validate_convex_ccw(self):
-        verts = self.vertices
-        n = len(verts)
+        pts = self.points
+        n = len(pts)
         for i in range(n):
-            turn = _cross(verts[i], verts[(i + 1) % n], verts[(i + 2) % n])
-            if turn < 0:
+            if _cross(pts[i], pts[(i + 1) % n], pts[(i + 2) % n]) < 0:
                 raise ValueError("polygon is not convex counter-clockwise")
+
+    @property
+    def vertices(self) -> tuple[Point, ...]:
+        w = self.den
+        return tuple((Fraction(x, w), Fraction(y, w)) for x, y in self.points)
 
     @classmethod
     def rectangle(cls, u0, u1, v0, v1) -> "Polygon":
@@ -82,34 +118,29 @@ class Polygon:
 
     # -- queries -----------------------------------------------------------
 
+    def _twice_area(self) -> int:
+        """2 * den^2 * signed area (0 for fewer than 3 vertices)."""
+        pts = self.points
+        return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+
     def signed_area(self) -> Fraction:
-        verts = self.vertices
-        n = len(verts)
-        if n < 3:
-            return Fraction(0)
-        total = Fraction(0)
-        for i in range(n):
-            x0, y0 = verts[i]
-            x1, y1 = verts[(i + 1) % n]
-            total += x0 * y1 - x1 * y0
-        return total / 2
+        return Fraction(self._twice_area(), 2 * self.den * self.den)
 
     def area(self) -> Fraction:
         return abs(self.signed_area())
 
     def is_degenerate(self) -> bool:
-        return self.signed_area() == 0
+        return self._twice_area() == 0
 
     def contains(self, point) -> bool:
         """Closed containment test (boundary counts as inside)."""
-        p = _pt(point)
-        verts = self.vertices
-        n = len(verts)
-        if n == 0:
-            return False
-        if n < 3:
-            return p in verts  # degenerate: only exact vertex hits
-        return all(_cross(verts[i], verts[(i + 1) % n], p) >= 0 for i in range(n))
+        q, (px, py) = _over_lcm(*point)
+        # both sides over the common denominator den * q
+        px, py = px * self.den, py * self.den
+        pts = [(x * q, y * q) for x, y in self.points]
+        if len(pts) < 3:
+            return (px, py) in pts  # degenerate: only exact vertex hits
+        return all(_cross(o, a, (px, py)) >= 0 for o, a in zip(pts, pts[1:] + pts[:1]))
 
     def edges(self) -> list[tuple[Point, Point]]:
         verts = self.vertices
@@ -158,18 +189,16 @@ class Polygon:
 
     def canonical(self) -> "Polygon":
         """Drop collinear vertices and rotate so the smallest vertex is first."""
-        verts = list(self.vertices)
-        if len(verts) >= 3:
-            out = []
-            n = len(verts)
-            for i in range(n):
-                if _cross(verts[i - 1], verts[i], verts[(i + 1) % n]) != 0:
-                    out.append(verts[i])
-            verts = out if len(out) >= 3 else verts
-        if not verts:
-            return Polygon([])
-        k = min(range(len(verts)), key=lambda i: verts[i])
-        return Polygon(verts[k:] + verts[:k], validate=False)
+        pts = self.points
+        n = len(pts)
+        if n >= 3:
+            out = [pts[i] for i in range(n) if _cross(pts[i - 1], pts[i], pts[(i + 1) % n]) != 0]
+            pts = out if len(out) >= 3 else pts
+        if not pts:
+            return self
+        # int order is Fraction order over the common positive denominator
+        k = min(range(len(pts)), key=pts.__getitem__)
+        return Polygon._from_ints(self.den, pts[k:] + pts[:k])
 
     def __repr__(self):
         from .rationals import format_rational as fr
@@ -180,23 +209,25 @@ class Polygon:
 
 def polygon_clip(poly: Polygon, halfplane: AffineForm) -> Polygon:
     """Exact intersection of a convex polygon with {halfplane(u, v) >= 0}."""
-    verts = poly.vertices
-    if not verts:
-        return poly
-    values = [halfplane(x, y) for x, y in verts]
+    pts, w = poly.points, poly.den
+    # the half-plane scaled by a positive integer: only signs matter
+    _, (c, cu, cv) = _over_lcm(halfplane.c, halfplane.cu, halfplane.cv)
+    values = [c * w + cu * x + cv * y for x, y in pts]
     if all(val >= 0 for val in values):
         return poly
-    out: list[Point] = []
-    n = len(verts)
+    out: list[tuple[int, int, int]] = []  # (x, y, d): vertex (x, y) / (w * d)
+    n = len(pts)
     for i in range(n):
-        a, fa = verts[i], values[i]
-        b, fb = verts[(i + 1) % n], values[(i + 1) % n]
+        (xa, ya), fa = pts[i], values[i]
+        (xb, yb), fb = pts[(i + 1) % n], values[(i + 1) % n]
         if fa >= 0:
-            out.append(a)
+            out.append((xa, ya, 1))
         if (fa > 0 > fb) or (fb > 0 > fa):
-            t = fa / (fa - fb)
-            out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
-    return Polygon(out, validate=False)
+            # a + fa / (fa - fb) * (b - a)
+            out.append((fa * xb - fb * xa, fa * yb - fb * ya, fa - fb))
+    # lcm is positive and d // k carries the sign of a crossing's k
+    d = lcm(*(k for _, _, k in out))
+    return Polygon._from_ints(w * d, [(x * (d // k), y * (d // k)) for x, y, k in out])
 
 
 def _integrate_std_triangle(p: Polynomial2) -> Fraction:
@@ -227,19 +258,16 @@ def _integrate_moments(p: Polynomial2, poly: Polygon) -> Fraction:
     Shifting p to vertex 0 changes only its constant and linear terms.  Over
     the fan triangle (0, a, b) with d = |det(a, b)| the monomials integrate to
     d/2, d(a+b)/6, d(a^2+ab+b^2)/12 and d(2a0a1 + a0b1 + b0a1 + 2b0b1)/24.
-    The vertices are scaled to integers by the common denominator L, so the
-    moment sums are plain ints carrying the factors L^2, L^3 and L^4.
+    With the integer vertices over W and p's coefficients scaled to ints by
+    M, every moment term is an int over 24 M W^4, the one ``Fraction``.
     """
-    verts = poly.vertices
-    if len(verts) < 3:
+    pts, w = poly.points, poly.den
+    if len(pts) < 3:
         return Fraction(0)
-    scale = lcm(*(c.denominator for vertex in verts for c in vertex))
-    ints = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-            for x, y in verts]
-    ox, oy = ints[0]
+    ox, oy = pts[0]
     s0 = sx = sy = sxx = sxy = syy = 0
-    ax, ay = ints[1][0] - ox, ints[1][1] - oy
-    for x, y in ints[2:]:
+    ax, ay = pts[1][0] - ox, pts[1][1] - oy
+    for x, y in pts[2:]:
         bx, by = x - ox, y - oy
         d = abs(ax * by - bx * ay)
         s0 += d
@@ -249,15 +277,14 @@ def _integrate_moments(p: Polynomial2, poly: Polygon) -> Fraction:
         sxy += d * (2 * ax * ay + ax * by + bx * ay + 2 * bx * by)
         syy += d * (ay * ay + ay * by + by * by)
         ax, ay = bx, by
-    x0, y0 = verts[0]
-    c20, c11, c02 = p.coefficient(2, 0), p.coefficient(1, 1), p.coefficient(0, 2)
-    c10 = p.coefficient(1, 0) + 2 * c20 * x0 + c11 * y0
-    c01 = p.coefficient(0, 1) + c11 * x0 + 2 * c02 * y0
-    sq = scale * scale
-    return (
-        p(x0, y0) * Fraction(s0, 2 * sq)
-        + (c10 * sx + c01 * sy) / (6 * sq * scale)
-        + (2 * c20 * sxx + c11 * sxy + 2 * c02 * syy) / (24 * sq * sq)
+    m, c = _over_lcm(*(p.coefficient(a, b) for a, b in _QUADRATIC))
+    # the linear terms of p shifted to vertex 0, times m * w
+    c10 = c[1] * w + 2 * c[3] * ox + c[4] * oy
+    c01 = c[2] * w + c[4] * ox + 2 * c[5] * oy
+    return Fraction(
+        12 * _quadratic_at(c, w, ox, oy) * s0 + 4 * (c10 * sx + c01 * sy)
+        + 2 * c[3] * sxx + c[4] * sxy + 2 * c[5] * syy,
+        24 * m * w**4,
     )
 
 
@@ -295,10 +322,14 @@ def quadratic_min_on_polygon(p: Polynomial2, poly: Polygon) -> Fraction:
     """
     if p.degrees() > (2, 2) or any(a + b > 2 for a, b in p.terms):
         raise ValueError("quadratic_min_on_polygon needs total degree <= 2")
-    verts = poly.canonical().vertices
-    if not verts:
+    corners = poly.canonical()
+    if not corners.points:
         raise ValueError("empty polygon")
-    candidates = [p(x, y) for x, y in verts]
+    m, c = _over_lcm(*(p.coefficient(a, b) for a, b in _QUADRATIC))
+    w = corners.den
+    candidates = [
+        Fraction(min(_quadratic_at(c, w, x, y) for x, y in corners.points), m * w * w)
+    ]
     cu2, cv2 = p.coefficient(2, 0), p.coefficient(0, 2)
     cuv = p.coefficient(1, 1)
     cu, cv = p.coefficient(1, 0), p.coefficient(0, 1)
@@ -325,23 +356,17 @@ def quadratic_min_on_polygon(p: Polynomial2, poly: Polygon) -> Fraction:
     return min(candidates)
 
 
-def edge_halfplane(p: Point, q: Point) -> AffineForm:
-    """The inward half-plane of a CCW edge: {r : cross(p, q, r) >= 0}."""
-    return AffineForm(
-        (q[1] - p[1]) * p[0] - (q[0] - p[0]) * p[1],
-        -(q[1] - p[1]),
-        q[0] - p[0],
-    )
-
-
 def polygon_intersection(a: Polygon, b: Polygon) -> Polygon:
     """Exact intersection of two convex polygons."""
-    if len(b.vertices) < 3:
+    pts, w = b.points, b.den
+    if len(pts) < 3:
         return Polygon([])
     out = a
-    for p, q in b.edges():
-        out = polygon_clip(out, edge_halfplane(p, q))
-        if not out.vertices:
+    for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
+        # the inward side of a CCW edge, {r : cross(p, q, r) >= 0}, times w^2
+        dx, dy = qx - px, qy - py
+        out = polygon_clip(out, AffineForm(dy * px - dx * py, -dy * w, dx * w))
+        if not out.points:
             break
     return out
 

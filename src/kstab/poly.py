@@ -16,6 +16,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .rationals import format_rational, rat
@@ -195,18 +196,11 @@ class AffineForm:
     def normalized(self) -> "AffineForm":
         """Scale by the unique positive rational making the coefficient tuple
         primitive integers; preserves the half-plane {self >= 0}."""
-        nums = [x for x in (self.c, self.cu, self.cv) if x]
-        if not nums:
-            return AffineForm(0, 0, 0)
-        from math import gcd, lcm
-
-        denominator = lcm(*(x.denominator for x in nums))
-        ints = [x * denominator for x in nums]
-        g = 0
-        for x in ints:
-            g = gcd(g, int(x))
-        scale = Fraction(denominator, g)
-        return AffineForm(self.c * scale, self.cu * scale, self.cv * scale)
+        coeffs = (self.c, self.cu, self.cv)
+        m = lcm(*(x.denominator for x in coeffs))
+        ints = [x.numerator * (m // x.denominator) for x in coeffs]
+        g = gcd(*ints) or 1
+        return AffineForm(*(k // g for k in ints))
 
     def __repr__(self):
         parts = []

@@ -427,7 +427,7 @@ def decompose_parametric(lat: CurveLattice, d, domain: Polygon) -> ChamberDecomp
         pieces = next_pieces
     else:
         raise ZariskiError("chamber count exceeded the safety cap")
-    chambers.sort(key=lambda c: (c.support, c.region.vertices))
+    chambers.sort(key=lambda c: c.support)  # supports are unique: see `seen`
     decomposition = ChamberDecomposition(lat, data, domain, tuple(chambers))
     decomposition.validate_partition()
     decomposition.validate_orthogonality()

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from kstab.geometry import (
     integrate_polygon,
     polygon_clip,
     polygon_intersection,
+    quadratic_min_on_polygon,
     restrict_to_line,
     shared_edge_line,
     split_by_line,
@@ -228,3 +230,182 @@ def test_shared_edge_and_restriction():
     assert restricted(0, F(2, 3)) == F(2, 3)
     far = Polygon.rectangle(5, 6, 5, 6)
     assert shared_edge_line(left, far) is None
+
+
+# -- Fraction reference: the kernels as they were before the integer form --
+
+
+def _ref_cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _ref_clean(verts):
+    cleaned = []
+    for p in verts:
+        if not cleaned or p != cleaned[-1]:
+            cleaned.append(p)
+    if len(cleaned) > 1 and cleaned[0] == cleaned[-1]:
+        cleaned.pop()
+    return tuple(cleaned)
+
+
+def _ref_clip(verts, h):
+    values = [h(x, y) for x, y in verts]
+    if all(val >= 0 for val in values):
+        return verts
+    out = []
+    n = len(verts)
+    for i in range(n):
+        a, fa = verts[i], values[i]
+        b, fb = verts[(i + 1) % n], values[(i + 1) % n]
+        if fa >= 0:
+            out.append(a)
+        if (fa > 0 > fb) or (fb > 0 > fa):
+            t = fa / (fa - fb)
+            out.append((a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1])))
+    return _ref_clean(out)
+
+
+def _ref_canonical(verts):
+    verts = list(verts)
+    if len(verts) >= 3:
+        n = len(verts)
+        out = [verts[i] for i in range(n) if _ref_cross(verts[i - 1], verts[i], verts[(i + 1) % n])]
+        verts = out if len(out) >= 3 else verts
+    if not verts:
+        return ()
+    k = min(range(len(verts)), key=lambda i: verts[i])
+    return _ref_clean(verts[k:] + verts[:k])
+
+
+def _ref_signed_area(verts):
+    n = len(verts)
+    if n < 3:
+        return F(0)
+    return sum(
+        (verts[i][0] * verts[(i + 1) % n][1] - verts[(i + 1) % n][0] * verts[i][1]
+         for i in range(n)),
+        F(0),
+    ) / 2
+
+
+def _ref_contains(verts, p):
+    n = len(verts)
+    if n < 3:
+        return p in verts
+    return all(_ref_cross(verts[i], verts[(i + 1) % n], p) >= 0 for i in range(n))
+
+
+def _ref_quadratic_min(p, verts):
+    corners = _ref_canonical(verts)
+    if not corners:
+        raise ValueError("empty polygon")
+    candidates = [p(x, y) for x, y in corners]
+    cu2, cv2, cuv = p.coefficient(2, 0), p.coefficient(0, 2), p.coefficient(1, 1)
+    cu, cv = p.coefficient(1, 0), p.coefficient(0, 1)
+    det = 4 * cu2 * cv2 - cuv * cuv
+    if det != 0:
+        su = (-cu * 2 * cv2 + cv * cuv) / det
+        sv = (-cv * 2 * cu2 + cu * cuv) / det
+        if _ref_contains(verts, (su, sv)):
+            candidates.append(p(su, sv))
+    n = len(verts)
+    for a, b in ([(verts[i], verts[(i + 1) % n]) for i in range(n)] if n >= 2 else []):
+        du, dv = b[0] - a[0], b[1] - a[1]
+        c2 = cu2 * du * du + cuv * du * dv + cv2 * dv * dv
+        if c2 == 0:
+            continue
+        c1 = (2 * cu2 * a[0] * du + cuv * (a[0] * dv + a[1] * du)
+              + 2 * cv2 * a[1] * dv + cu * du + cv * dv)
+        t = -c1 / (2 * c2)
+        if 0 < t < 1:
+            candidates.append(p(a[0] + t * du, a[1] + t * dv))
+    return min(candidates)
+
+
+@st.composite
+def reference_polygons(draw):
+    """(vertex list, validate flag): a rational rectangle clipped 0-2 times
+    by the Fraction reference, then kept, given collinear edge midpoints,
+    reversed to clockwise, flattened to zero area, or cut to 0-2 vertices."""
+    u0, v0 = draw(small_rational), draw(small_rational)
+    width = draw(st.fractions(min_value=F(1, 6), max_value=F(3), max_denominator=6))
+    height = draw(st.fractions(min_value=F(1, 6), max_value=F(3), max_denominator=6))
+    verts = ((u0, v0), (u0 + width, v0), (u0 + width, v0 + height), (u0, v0 + height))
+    for line in draw(st.lists(clip_lines, max_size=2)):
+        verts = _ref_clip(verts, line)
+    shape = draw(st.sampled_from(["convex", "collinear", "clockwise", "degenerate", "few"]))
+    if shape == "collinear":
+        n = len(verts)
+        verts = tuple(q for i in range(n) for q in (
+            verts[i],
+            ((verts[i][0] + verts[(i + 1) % n][0]) / 2, (verts[i][1] + verts[(i + 1) % n][1]) / 2),
+        ))
+    elif shape == "clockwise":
+        verts = verts[::-1]
+    elif shape == "degenerate":
+        line = draw(clip_lines)
+        verts = _ref_clip(_ref_clip(verts, line), -line)
+    elif shape == "few":
+        verts = verts[: draw(st.integers(0, 2))]
+    return list(verts), shape != "clockwise"
+
+
+@st.composite
+def halfplanes_for(draw, verts):
+    """A rational half-plane that misses, touches a vertex, runs along an
+    edge or cuts through, scaled by a nonzero rational of either sign."""
+    kind = draw(st.sampled_from(["any", "vertex", "edge", "miss"]))
+    if kind == "vertex" and verts:
+        x, y = draw(st.sampled_from(verts))
+        a, b = draw(small_rational), draw(small_rational)
+        h = AffineForm(-a * x - b * y, a, b)
+    elif kind == "edge" and len(verts) >= 2:
+        i = draw(st.integers(0, len(verts) - 1))
+        (px, py), (qx, qy) = verts[i], verts[(i + 1) % len(verts)]
+        h = AffineForm((qy - py) * px - (qx - px) * py, -(qy - py), qx - px)
+    elif kind == "miss":
+        h = AffineForm(draw(st.sampled_from([F(-7), F(7)])), draw(small_rational) / 8, 0)
+    else:
+        h = draw(clip_lines)
+    scale = draw(small_rational.filter(bool))
+    return h * scale
+
+
+@given(reference_polygons(), quadratic_polys, st.data())
+@settings(max_examples=400, deadline=None)
+def test_integer_kernels_match_fraction_reference(case, p, data):
+    verts, validate = case
+    poly = Polygon(verts, validate=validate)
+    ref = _ref_clean([(F(x), F(y)) for x, y in verts])
+    assert poly.vertices == ref
+    h = data.draw(halfplanes_for(ref))
+    # the lowest-terms form makes == and the hash see the vertex values
+    for mine, theirs in ((polygon_clip(poly, h), _ref_clip(ref, h)),
+                         (poly.canonical(), _ref_canonical(ref))):
+        assert mine.vertices == theirs
+        assert mine == Polygon(theirs, validate=False)
+        assert hash(mine) == hash(Polygon(theirs, validate=False))
+    assert poly.signed_area() == _ref_signed_area(ref)
+    assert poly.is_degenerate() == (_ref_signed_area(ref) == 0)
+    n = len(ref)
+    probes = list(ref) + [
+        ((ref[i][0] + ref[(i + 1) % n][0]) / 2, (ref[i][1] + ref[(i + 1) % n][1]) / 2)
+        for i in range(n)
+    ] + [(x + F(1, 7), y - F(2, 9)) for x, y in ref] + [(F(-5), F(1, 3)), (F(1, 2), F(1, 3))]
+    for q in probes:
+        assert poly.contains(q) == _ref_contains(ref, q)
+    if ref:
+        assert quadratic_min_on_polygon(p, poly) == _ref_quadratic_min(p, ref)
+    else:
+        with pytest.raises(ValueError, match="empty"):
+            quadratic_min_on_polygon(p, poly)
+
+
+def test_equal_vertex_values_make_equal_polygons():
+    a = Polygon([(F(2, 4), 1), (F(3, 2), 1), (1, F(6, 4))])
+    b = Polygon([(F(1, 2), 1), (F(3, 2), 1), (1, F(3, 2))])
+    assert a == b and hash(a) == hash(b)
+    assert (a.den, a.points) == (2, ((1, 2), (3, 2), (2, 3)))
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == b and hash(copy) == hash(b) and copy.vertices == b.vertices

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kstab import zariski
 from kstab.geometry import Polygon
 from kstab.lattice import (
     CurveLattice,
@@ -191,6 +192,75 @@ def test_oracle_check_empty_domain_is_vacuous():
     lat, d = cusp_setup()
     dec = decompose_parametric(lat, d, Polygon([]))
     assert oracle_check(lat, d, dec, 10).passed
+
+
+def _spy(monkeypatch, name, log):
+    real = getattr(zariski, name)
+
+    def spy(*args):
+        out = real(*args)
+        log.append(out)
+        return out
+
+    monkeypatch.setattr(zariski, name, spy)
+
+
+def test_sample_retry_skips_outside_and_covered_samples(monkeypatch):
+    """Discovery skips a sample outside the piece and a sample whose support
+    already has a chamber, and still places the same chambers."""
+    lat, d = cusp_setup()
+    dom = Polygon([(0, 0), (1, 0), (1, 6), (0, 9)])
+    expected = decompose_parametric(lat, d, dom)
+    real_points = Polygon.interior_points
+
+    def retry_first(piece):
+        x, y = piece.vertices[0]
+        yield (x + 100, y + 100)  # outside, and not pseudoeffective there
+        yield from piece.vertices  # on the boundary of covered chambers
+        yield from real_points(piece)
+
+    monkeypatch.setattr(Polygon, "interior_points", retry_first)
+    samples, builds = [], []
+    _spy(monkeypatch, "decompose_at", samples)
+    _spy(monkeypatch, "_build_chamber", builds)
+    dec = decompose_parametric(lat, d, dom)
+    assert dec.chambers == expected.chambers
+    assert oracle_check(lat, d, dec, 40, seed=3).passed
+    placed = [c.support for c in dec.chambers]
+    assert len(builds) == len(placed)
+    # every sample that built nothing repeated a support already placed
+    assert len(samples) > len(builds)
+
+
+def crossing_setup():
+    """Support {C1} for u < 1/2 and {C2} for u > 1/2; the empty support
+    holds only on the line u = 1/2, a chamber of zero area."""
+    lat = CurveLattice(["F", "C1", "C2"], [[0, 1, 1], [1, -1, 0], [1, 0, -1]])
+    d = ParametricDivisor.of(
+        (AffineForm(1), AffineForm(F(3, 2), -1), AffineForm(F(1, 2), 1))
+    )
+    return lat, d
+
+
+def test_sample_retry_skips_a_degenerate_chamber(monkeypatch):
+    lat, d = crossing_setup()
+    builds = []
+    _spy(monkeypatch, "_build_chamber", builds)
+    dec = decompose_parametric(lat, d, Polygon.rectangle(0, 1, 0, 1))
+    # the vertex centroid (1/2, 1/2) has the empty support
+    assert [b[0].support for b in builds] == [(), (1,), (2,)]
+    assert builds[0][0].region.is_degenerate()
+    assert [(c.support, c.region) for c in dec.chambers] == [
+        ((1,), Polygon.rectangle(0, F(1, 2), 0, 1)),
+        ((2,), Polygon.rectangle(F(1, 2), 1, 0, 1)),
+    ]
+    assert oracle_check(lat, d, dec, 20, seed=1).passed
+    # with no other sample the degenerate chamber is not placed
+    domain = Polygon.rectangle(0, 1, 0, 1)
+    monkeypatch.setattr(Polygon, "interior_points", lambda piece: iter([(F(1, 2), F(1, 2))]))
+    with pytest.raises(CoverageError, match="could not place") as info:
+        decompose_parametric(lat, d, domain)
+    assert info.value.polygon == domain
 
 
 def test_volume_monotone_in_v():
