@@ -304,8 +304,12 @@ class SeriesReport:
         return format_decimal(self.f_partial)
 
     def tail_estimate(self) -> float:
-        """HEURISTIC tail for the S-sum: terms decay like n^-2, so the tail
-        beyond n_max is roughly (last per-n term) * n_max.  Not a bound."""
+        """HEURISTIC tail for the S-sum: (last per-n term) * n_max.
+
+        An uncalibrated heuristic, not a bound and not an estimate of the
+        true tail: the closed forms decay like n^-4, so it overstates the
+        tail by orders of n.  Its value is part of ``series --json`` and
+        stays as it is."""
         if not self.entries or self.n_max == 0:
             return float("nan")
         last = sum(self.entries[-1].s_terms, Fraction(0))

@@ -12,6 +12,17 @@ Divisors may be given in curve coordinates or abstractly through their
 pairing vector against the universe (``DivisorData``); the second form is
 what the infinite-series bands use, where the family lives in a Picard
 basis larger than the current curve universe.
+
+The engine runs on integers.  ``_int_columns`` scales the pairings once to
+integer rows over one positive denominator: one column for a point, three
+(c, cu, cv) for an affine family.  ``_int_positive_part`` is the one
+positive-part computation: a ``bareiss_solve`` on those rows whose every
+output is an integer row over one positive denominator, so a sign test or
+a cross-multiplication of ints decides each comparison.  The support
+closure (``_support_closure``), the threshold sweep and the chamber build
+all read those rows.  ``Fraction``s, ``AffineForm``s and ``Polynomial2``s
+are built once, for what a public function returns: the
+``PointDecomposition``, the threshold form and each ``Chamber``.
 """
 
 from __future__ import annotations
@@ -19,11 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .geometry import (
     Polygon,
+    _over_lcm,
     polygon_clip,
     polygon_intersection,
     quadratic_min_on_polygon,
@@ -85,6 +97,7 @@ class PointDivisor:
 
     @classmethod
     def from_class(cls, lat: CurveLattice, d: DivisorClass) -> "PointDivisor":
+        _check_length(lat, len(d.coefficients))
         pairings = []
         for j in range(lat.rank):
             row = lat.gram[j]
@@ -102,8 +115,16 @@ class PointDecomposition:
     p_squared: Fraction
 
 
+def _check_length(lat: CurveLattice, count: int) -> None:
+    if count != lat.rank:
+        raise LatticeError(
+            f"rank mismatch: divisor has {count} coefficients, lattice rank is {lat.rank}"
+        )
+
+
 def _as_point(lat: CurveLattice, d) -> PointDivisor:
     if isinstance(d, PointDivisor):
+        _check_length(lat, len(d.pairings))
         return d
     if isinstance(d, DivisorClass):
         return PointDivisor.from_class(lat, d)
@@ -112,56 +133,51 @@ def _as_point(lat: CurveLattice, d) -> PointDivisor:
 
 def _as_data(lat: CurveLattice, d) -> DivisorData:
     if isinstance(d, DivisorData):
+        _check_length(lat, len(d.pairings))
         return d
     if isinstance(d, ParametricDivisor):
         return DivisorData.from_parametric(lat, d)
     raise TypeError(f"cannot decompose {type(d).__name__}")
 
 
-def _positive_part(lat: CurveLattice, pairings, self_sq, support):
-    """Negative-part coefficients, P . C_j and P^2 of D on one support set.
+def _int_columns(pairings) -> tuple[int, list[list[int]]]:
+    """(m, r): the pairings as integer rows r over their lcm denominator m > 0,
+    one column per Fraction and three (c, cu, cv) per AffineForm."""
+    columns = [(f.c, f.cu, f.cv) if isinstance(f, AffineForm) else (f,) for f in pairings]
+    m = lcm(*(x.denominator for col in columns for x in col))
+    return m, [[x.numerator * (m // x.denominator) for x in col] for col in columns]
 
-    Solves P . C_i = 0 for i in the support, subtracts N from every pairing
-    and forms P^2 = D^2 - N . D, all in integers.  The pairings are scaled
-    to integers r by their common denominator M: one column for Fraction
-    pairings, three (c, cu, cv) for AffineForm pairings.  ``bareiss_solve``
-    on ``int_gram`` (the Gram matrix times L = ``lat.scale``) gives det and
-    X = det * int_gram_S^-1 r, and then, each divided once at the end,
 
-        coefficients  L X_i / (M det)
-        P . C_j       (det r_j - sum_i X_i int_gram[i][j]) / (M det)
-        P^2           D^2 - L sum_i X_i r_i / (M^2 det)
+def _int_positive_part(lat: CurveLattice, m: int, r, support):
+    """The positive part on one support, for pairings r / m in integer rows.
 
-    Fraction pairings with a Fraction D^2 give numbers, AffineForm pairings
-    with a Polynomial2 D^2 give forms and a polynomial.  A support that is
-    not negative definite raises ``LatticeError``.
+    ``bareiss_solve`` on ``int_gram`` (the Gram matrix times L = ``lat.scale``)
+    gives det and X = det * int_gram_S^-1 r.  Returns (den, coeffs, pairs,
+    nd, nd_den) with den = m * |det| > 0, so that a numerator has the sign of
+    its value:
+
+        coeffs[k] / den   the coefficient of support[k]:  L X_k / (m det)
+        pairs[j] / den    P . C_j:  (det r_j - sum_k X_k int_gram[k][j]) / (m det)
+        nd[e] / nd_den    N . D by monomial e = (deg u, deg v):
+                          L sum_k X_k r_k / (m den), nd_den = m den
+
+    every row of r's width.  A support that is not negative definite raises
+    ``LatticeError``.
     """
     if not support:
-        return [], list(pairings), self_sq
-    affine = isinstance(pairings[0], AffineForm)
-    columns = [(f.c, f.cu, f.cv) if affine else (f,) for f in pairings]
-    m = lcm(*(x.denominator for col in columns for x in col))
-    r = [[x.numerator * (m // x.denominator) for x in col] for col in columns]
+        return m, [], r, {}, 1
     solved = bareiss_solve(lat, support, [r[i] for i in support])
     if solved is None:
         raise LatticeError("support is not negative definite")
     det, x = solved
-    den = m * det
-
-    def value(parts):
-        if affine:
-            return AffineForm(*(Fraction(n, den) for n in parts))
-        return Fraction(parts[0], den)
-
-    coeffs = [value([lat.scale * n for n in xi]) for xi in x]
-    p_pairings = list(pairings)
+    if det < 0:  # X / det is the solution: flip both so that den > 0
+        det, x = -det, [[-n for n in xi] for xi in x]
+    scale = lat.scale
     gram_rows = [lat.int_gram[i] for i in support]
-    for j in range(lat.rank):
+    pairs = []
+    for j, rj in enumerate(r):
         hits = [(xi, row[j]) for xi, row in zip(x, gram_rows) if row[j]]
-        if hits:
-            p_pairings[j] = value(
-                [det * rc - sum(xi[c] * g for xi, g in hits) for c, rc in enumerate(r[j])]
-            )
+        pairs.append([det * rc - sum(xi[c] * g for xi, g in hits) for c, rc in enumerate(rj)])
     # the numerator of N . D: a product of two affine forms when affine
     nd: dict[tuple[int, int], int] = {}
     for i, xi in zip(support, x):
@@ -169,13 +185,45 @@ def _positive_part(lat: CurveLattice, pairings, self_sq, support):
             for (bu, bv), rb in zip(_MONOMIALS, r[i]):
                 exp = (au + bu, av + bv)
                 nd[exp] = nd.get(exp, 0) + xa * rb
-    nd_den = m * den
-    if not affine:
-        return coeffs, p_pairings, self_sq - Fraction(lat.scale * nd[(0, 0)], nd_den)
+    den = m * det
+    coeffs = [[scale * n for n in xi] for xi in x]
+    return den, coeffs, pairs, {exp: scale * n for exp, n in nd.items()}, m * den
+
+
+def _value(row, den: int):
+    """An integer row over den as a Fraction (one column) or an AffineForm."""
+    if len(row) == 1:
+        return Fraction(row[0], den)
+    return AffineForm(Fraction(row[0], den), Fraction(row[1], den), Fraction(row[2], den))
+
+
+def _volume(self_sq: Polynomial2, nd, nd_den: int) -> Polynomial2:
+    """P^2 = D^2 - N . D for the N . D numerators of ``_int_positive_part``."""
     terms = dict(self_sq.terms)
     for exp, n in nd.items():
-        terms[exp] = terms.get(exp, 0) - Fraction(lat.scale * n, nd_den)
-    return coeffs, p_pairings, Polynomial2(terms)
+        terms[exp] = terms.get(exp, 0) - Fraction(n, nd_den)
+    return Polynomial2(terms)
+
+
+def _positive_part(lat: CurveLattice, pairings, self_sq, support):
+    """Negative-part coefficients, P . C_j and P^2 of D on one support set.
+
+    ``_int_positive_part`` on the pairings scaled to integers, then the one
+    conversion: Fraction pairings with a Fraction D^2 give numbers,
+    AffineForm pairings with a Polynomial2 D^2 give forms and a polynomial.
+    The engine itself reads the integer rows and converts only what it
+    returns; this is the same computation for a caller that wants values.
+    A support that is not negative definite raises ``LatticeError``.
+    """
+    if not support:
+        return [], list(pairings), self_sq
+    m, r = _int_columns(pairings)
+    den, coeffs, pairs, nd, nd_den = _int_positive_part(lat, m, r, support)
+    coeffs = [_value(row, den) for row in coeffs]
+    pairs = [_value(row, den) for row in pairs]
+    if isinstance(pairings[0], AffineForm):
+        return coeffs, pairs, _volume(self_sq, nd, nd_den)
+    return coeffs, pairs, self_sq - Fraction(nd[(0, 0)], nd_den)
 
 
 def _decomposition(rank: int, support, coeffs, p_pairings, p_sq) -> PointDecomposition:
@@ -191,29 +239,27 @@ def _decomposition(rank: int, support, coeffs, p_pairings, p_sq) -> PointDecompo
     )
 
 
-def decompose_at(lat: CurveLattice, d) -> PointDecomposition:
-    """Unique Zariski decomposition of a numeric class, relative to the universe.
+def _support_closure(lat: CurveLattice, m: int, r):
+    """The support of a point, pairings r / m in one-column integer rows,
+    and ``_int_positive_part`` on it.
 
-    Support discovery iterates the violation closure: starting from the
-    curves the class meets negatively, solve the orthogonality system on the
-    current support and absorb every curve the candidate positive part still
-    meets negatively.  Distinct curves pair non-negatively (``CurveLattice``
-    enforces it), so the closure grows monotonically and reaches the unique
-    support in at most rank steps; the result is fully validated
-    (negative-definite support, non-negative coefficients, orthogonality,
-    nefness) before being returned.
+    Starting from the curves the class meets negatively, solve the
+    orthogonality system on the current support and absorb every curve the
+    candidate positive part still meets negatively.  Distinct curves pair
+    non-negatively (``CurveLattice`` enforces it), so the closure grows
+    monotonically and reaches the unique support in at most rank steps.
     """
-    point = _as_point(lat, d)
     rank = lat.rank
     support: list[int] = []
-    coeffs, p_pairings, p_sq = [], point.pairings, point.self_sq
+    parts = _int_positive_part(lat, m, r, support)
     for _ in range(rank + 1):
-        violations = [j for j in range(rank) if j not in support and p_pairings[j] < 0]
+        pairs = parts[2]
+        violations = [j for j in range(rank) if j not in support and pairs[j][0] < 0]
         if not violations:
             break
         support = sorted(set(support) | set(violations))
         try:
-            coeffs, p_pairings, p_sq = _positive_part(lat, point.pairings, point.self_sq, support)
+            parts = _int_positive_part(lat, m, r, support)
         except LatticeError:
             raise ZariskiError(
                 "not pseudoeffective w.r.t. universe: candidate support "
@@ -221,9 +267,30 @@ def decompose_at(lat: CurveLattice, d) -> PointDecomposition:
             ) from None
     else:
         raise ZariskiError("support closure failed to stabilize")
-    if any(c < 0 for c in coeffs):
+    if any(row[0] < 0 for row in parts[1]):
         raise ZariskiError("not pseudoeffective w.r.t. universe: negative multiplicity")
-    return _decomposition(rank, support, coeffs, p_pairings, p_sq)
+    return tuple(support), parts
+
+
+def decompose_at(lat: CurveLattice, d) -> PointDecomposition:
+    """Unique Zariski decomposition of a numeric class, relative to the universe.
+
+    The support is the violation closure of ``_support_closure``, run in
+    integers: it ends with no off-support curve met negatively, a negative
+    definite support, non-negative coefficients and, by the solve, a
+    positive part orthogonal to the support.  The result is converted to
+    ``Fraction``s once.
+    """
+    point = _as_point(lat, d)
+    m, r = _int_columns(point.pairings)
+    support, (den, coeffs, pairs, nd, nd_den) = _support_closure(lat, m, r)
+    return _decomposition(
+        lat.rank,
+        support,
+        [_value(row, den) for row in coeffs],
+        [_value(row, den) for row in pairs],
+        point.self_sq - Fraction(nd.get((0, 0), 0), nd_den),
+    )
 
 
 def enumerate_valid_supports(lat: CurveLattice, d) -> list[PointDecomposition]:
@@ -341,18 +408,25 @@ class ChamberDecomposition:
                     )
 
 
-def _build_chamber(lat: CurveLattice, d: DivisorData, domain: Polygon, support: tuple[int, ...]):
-    """Parametric data and validity region for one candidate support."""
-    coeffs, p_pairings, p_sq = _positive_part(lat, d.pairings, d.self_sq, support)
-    halfplanes = []
-    for form in coeffs + [p_pairings[j] for j in range(lat.rank) if j not in support]:
-        if form.is_constant():
-            if form.c < 0:
+def _build_chamber(lat: CurveLattice, d: DivisorData, columns, domain: Polygon, support):
+    """Parametric data and validity region for one candidate support.
+
+    ``columns`` is ``_int_columns(d.pairings)``.  Each half-plane is a
+    coefficient or an off-support pairing as a primitive integer row (the
+    row over den > 0 divided by its gcd, the form ``AffineForm.normalized``
+    gives).
+    """
+    m, r = columns
+    den, coeffs, pairs, nd, nd_den = _int_positive_part(lat, m, r, support)
+    rows = []
+    for a, b, e in coeffs + [pairs[j] for j in range(lat.rank) if j not in support]:
+        if not (b or e):
+            if a < 0:
                 return None  # support invalid everywhere
             continue
-        normal = form.normalized()
-        if normal not in halfplanes:
-            halfplanes.append(normal)
+        g = gcd(a, b, e)
+        rows.append((a // g, b // g, e // g))
+    halfplanes = [AffineForm(*row) for row in dict.fromkeys(rows)]
     region = domain
     for h in halfplanes:
         region = polygon_clip(region, h)
@@ -360,9 +434,9 @@ def _build_chamber(lat: CurveLattice, d: DivisorData, domain: Polygon, support: 
     chamber = Chamber(
         region=region,
         support=tuple(support),
-        neg_coeffs=tuple(coeffs),
-        p_pairings=tuple(p_pairings),
-        p_squared=p_sq,
+        neg_coeffs=tuple(_value(row, den) for row in coeffs),
+        p_pairings=tuple(_value(row, den) for row in pairs),
+        p_squared=_volume(d.self_sq, nd, nd_den),
     )
     return chamber, halfplanes
 
@@ -377,6 +451,8 @@ def decompose_parametric(lat: CurveLattice, d, domain: Polygon) -> ChamberDecomp
     chamber.  The result is verified to be a partition.
     """
     data = _as_data(lat, d)
+    columns = _int_columns(data.pairings)
+    m, r = columns
     domain = domain.canonical()
     chambers: list[Chamber] = []
     pieces = [] if domain.is_degenerate() else [domain]
@@ -390,17 +466,19 @@ def decompose_parametric(lat: CurveLattice, d, domain: Polygon) -> ChamberDecomp
         for sample in islice(piece.interior_points(), 48):
             if not piece.contains(sample):
                 continue
+            # the point (x / w, y / w) turns row (a, b, e) into a w + b x + e y
+            w, (x, y) = _over_lcm(*sample)
             try:
-                point_dec = decompose_at(lat, data.at(*sample))
+                support, _ = _support_closure(lat, m * w, [[a * w + b * x + e * y] for a, b, e in r])
             except ZariskiError as exc:
                 raise CoverageError(
                     "universe incomplete or domain exceeds pseudoeffective region "
                     f"near {piece!r}: {exc}",
                     piece,
                 ) from exc
-            if point_dec.support in seen:
+            if support in seen:
                 continue  # boundary sample of an already-covered chamber
-            built = _build_chamber(lat, data, domain, point_dec.support)
+            built = _build_chamber(lat, data, columns, domain, support)
             if built is not None and not built[0].region.is_degenerate():
                 break
             built = None
@@ -503,7 +581,9 @@ def oracle_check(
 @dataclass(frozen=True)
 class _SweepOutcome:
     threshold: AffineForm  # affine in u (cv = 0)
-    guards: tuple[AffineForm, ...]  # affine in u, all must stay >= 0
+    # (alpha, beta): alpha + beta u >= 0 must hold, a guard of the sweep
+    # times a positive integer; beta != 0 (constant guards are checked at once)
+    guards: tuple[tuple[int, int], ...]
 
 
 def effective_threshold(lat: CurveLattice, d, u_lo, u_hi) -> list[tuple[Fraction, Fraction, AffineForm]]:
@@ -548,22 +628,20 @@ def _threshold_recurse(lat, data, u_lo, u_hi, depth):
     last_error = None
     for u0 in samples:
         outcome = _threshold_sweep(lat, data, u0)
+        p, q = u0.numerator, u0.denominator
         lo, hi = u_lo, u_hi
         degenerate = False
-        for guard in outcome.guards:
-            alpha, beta = guard.c, guard.cu
-            value = alpha + beta * u0
+        for alpha, beta in outcome.guards:
+            value = alpha * q + beta * p  # the guard at u0, times q > 0
             if value < 0:
                 raise ZariskiError("threshold sweep produced an inconsistent guard")
-            if value == 0 and beta != 0:
+            if value == 0:
                 degenerate = True
                 break
             if beta > 0:
-                lo = max(lo, -alpha / beta)
-            elif beta < 0:
-                hi = min(hi, -alpha / beta)
-            elif alpha < 0:
-                raise ZariskiError("threshold sweep produced an impossible guard")
+                lo = max(lo, Fraction(-alpha, beta))
+            else:
+                hi = min(hi, Fraction(-alpha, beta))
         if degenerate:
             last_error = ZariskiError(f"degenerate sweep position at u = {u0}")
             continue
@@ -577,77 +655,109 @@ def _threshold_recurse(lat, data, u_lo, u_hi, depth):
 
 
 def _threshold_sweep(lat, data: DivisorData, u0: Fraction) -> _SweepOutcome:
-    rank = lat.rank
-    guards: list[AffineForm] = []
+    """Walk v upward at u = u0 = p / q through the 1-D chambers, in integers.
 
-    def add_guard(form_u: AffineForm):
-        if form_u.is_constant():
-            if form_u.c < 0:
+    A constraint is a negative-part coefficient ("drop") or an off-support
+    pairing ("add"), a row (a, b, e) over the current den > 0.  With e < 0
+    it holds up to its root (a + b u) / -e, which is (a q + b p) / (-e q)
+    at u0; roots compare by cross-multiplication.  The chamber bottom is
+    (vc + vu u) / vd with vd > 0.  Every guard is recorded scaled by a
+    positive integer (see ``_SweepOutcome``).
+    """
+    rank = lat.rank
+    m, r = _int_columns(data.pairings)
+    p, q = u0.numerator, u0.denominator
+    guards: list[tuple[int, int]] = []
+
+    def add_guard(alpha: int, beta: int):
+        if not beta:
+            if alpha < 0:
                 raise ZariskiError("inconsistent constant guard")
             return
-        guards.append(form_u)
+        guards.append((alpha, beta))
 
     try:
-        start = decompose_at(lat, data.at(u0, 0))
+        support, _ = _support_closure(lat, m * q, [[a * q + b * p] for a, b, _ in r])
     except ZariskiError as exc:
         raise ZariskiError(f"not pseudoeffective at (u, v) = ({u0}, 0): {exc}") from exc
-    support = list(start.support)
-    parts = _positive_part(lat, data.pairings, data.self_sq, support)
-    v_cur = AffineForm(0, 0, 0)  # bottom of the current 1-D chamber, affine in u
+    parts = _int_positive_part(lat, m, r, support)
+    d_sq = _in_v(data.self_sq, u0)
+    vc, vu, vd = 0, 0, 1
     for _ in range(4 * rank + 8):
-        coeffs, p_pairings, p_sq = parts
-        events: list[tuple[Fraction, AffineForm, str, int]] = []
-        constraints = [(form, "drop", i) for form, i in zip(coeffs, support)]
-        constraints += [
-            (p_pairings[j], "add", j) for j in range(rank) if j not in support
-        ]
-        v_cur_at = v_cur(u0, 0)
-        for form, kind, idx in constraints:
-            if form.cv < 0:
-                root = AffineForm(-form.c / form.cv, -form.cu / form.cv, 0)
-                root_at = root(u0, 0)
-                if root_at < v_cur_at:
+        _, coeffs, pairs, nd, nd_den = parts
+        constraints = [(row, "drop", i) for row, i in zip(coeffs, support)]
+        constraints += [(pairs[j], "add", j) for j in range(rank) if j not in support]
+        bottom = (vc * q + vu * p, vd * q)  # at u0
+        events = []  # (x, y, row, kind, idx): the row's root is x / y at u0, y > 0
+        for row, kind, idx in constraints:
+            a, b, e = row
+            if e < 0:
+                x, y = a * q + b * p, -e * q
+                if x * bottom[1] < bottom[0] * y:
                     raise ZariskiError("sweep constraint already violated")
-                events.append((root_at, root, kind, idx))
+                events.append((x, y, row, kind, idx))
             else:
                 # constant or increasing in v: must hold at the chamber bottom
-                add_guard(
-                    AffineForm(
-                        form.c + form.cv * v_cur.c,
-                        form.cu + form.cv * v_cur.cu,
-                        0,
-                    )
-                )
+                add_guard(a * vd + e * vc, b * vd + e * vu)
+        p_sq = _p_squared_in_v(d_sq, nd, nd_den, p, q)
         if not events:
-            _reject_unbounded(p_sq, u0, v_cur_at)
-        binding_at = min(e[0] for e in events)
-        binding = [e for e in events if e[0] == binding_at]
-        binding_root = binding[0][1]
-        for root_at, root, _, _ in events:
-            if root_at != binding_at:
-                add_guard(root - binding_root)
-        add_guard(binding_root - v_cur)
-        _check_volume_nonnegative(p_sq, u0, v_cur_at, binding_at)
-        adds = [idx for _, _, kind, idx in binding if kind == "add"]
-        drops = [idx for _, _, kind, idx in binding if kind == "drop"]
+            _reject_unbounded(p_sq)
+        bx, by, (a0, b0, e0) = events[0][:3]  # the first smallest root binds
+        for x, y, row, _, _ in events:
+            if x * by < bx * y:
+                bx, by, (a0, b0, e0) = x, y, row
+        adds, drops = [], []
+        for x, y, (a, b, e), kind, idx in events:
+            if x * by != bx * y:
+                add_guard(e * a0 - e0 * a, e * b0 - e0 * b)  # root - binding, times e e0
+            else:
+                (adds if kind == "add" else drops).append(idx)
+        add_guard(a0 * vd + e0 * vc, b0 * vd + e0 * vu)  # binding - bottom, times -e0 vd
+        _check_volume_nonnegative(p_sq, bottom, (bx, by))
         if adds:
             new_support = sorted(set(support) | set(adds))
             try:
-                parts = _positive_part(lat, data.pairings, data.self_sq, new_support)
+                parts = _int_positive_part(lat, m, r, new_support)
             except LatticeError:  # absorbing breaks negative definiteness
-                return _SweepOutcome(binding_root, tuple(guards))
+                threshold = AffineForm(Fraction(a0, -e0), Fraction(b0, -e0), 0)
+                return _SweepOutcome(threshold, tuple(guards))
             support = new_support
         elif drops:
             support = [i for i in support if i not in drops]
-            parts = _positive_part(lat, data.pairings, data.self_sq, support)
-        v_cur = binding_root
+            parts = _int_positive_part(lat, m, r, support)
+        vc, vu, vd = a0, b0, -e0
     raise ZariskiError("threshold sweep failed to terminate")
 
 
-def _reject_unbounded(p_sq: Polynomial2, u0: Fraction, v_from: Fraction):
-    poly_v = p_sq.eval_u(u0)
-    c2 = poly_v.coefficient(0, 2)
-    c1 = poly_v.coefficient(0, 1)
+def _in_v(self_sq: Polynomial2, u0: Fraction) -> tuple[int, list[int]]:
+    """D^2(u0, v) as (s, c): integer coefficients c of 1, v, v^2, ... over
+    s > 0, at least three of them."""
+    by_v: dict[int, Fraction] = {}
+    for (du, dv), coeff in self_sq.terms.items():
+        by_v[dv] = by_v.get(dv, 0) + coeff * u0**du
+    values = [by_v.get(k, Fraction(0)) for k in range(max([2, *by_v]) + 1)]
+    s = lcm(*(x.denominator for x in values))
+    return s, [x.numerator * (s // x.denominator) for x in values]
+
+
+def _p_squared_in_v(d_sq, nd, nd_den: int, p: int, q: int) -> list[int]:
+    """P^2(p / q, v) = D^2 - N . D as integer v-coefficients over the positive
+    s * nd_den * q^2; the sweep reads only signs."""
+    s, c = d_sq
+    out = [ck * nd_den * q * q for ck in c]
+    for (du, dv), n in nd.items():
+        out[dv] -= s * n * p**du * q ** (2 - du)
+    return out
+
+
+def _sign_at(c: Sequence[int], x: int, y: int) -> int:
+    """sum c_k (x / y)^k times y^deg > 0: an int with the value's sign."""
+    deg = len(c) - 1
+    return sum(ck * x**k * y ** (deg - k) for k, ck in enumerate(c))
+
+
+def _reject_unbounded(p_sq: Sequence[int]):
+    c1, c2 = p_sq[1], p_sq[2]
     if c2 < 0 or (c2 == 0 and c1 < 0):
         raise ZariskiError(
             "no affine threshold: feasibility is bounded only by a P^2 root"
@@ -655,17 +765,16 @@ def _reject_unbounded(p_sq: Polynomial2, u0: Fraction, v_from: Fraction):
     raise ZariskiError("no threshold: family remains feasible for all v")
 
 
-def _check_volume_nonnegative(p_sq: Polynomial2, u0, v_lo, v_hi):
+def _check_volume_nonnegative(p_sq: Sequence[int], v_lo, v_hi):
     """P^2 must stay >= 0 throughout the swept chamber; a sign change means
-    the threshold would be a quadratic root, which we refuse to emit."""
-    poly_v = p_sq.eval_u(u0)
-    values = [poly_v(0, v_lo), poly_v(0, v_hi)]
-    c2 = poly_v.coefficient(0, 2)
-    c1 = poly_v.coefficient(0, 1)
+    the threshold would be a quadratic root, which we refuse to emit.  The
+    ends are (x, y) pairs with y > 0."""
+    values = [_sign_at(p_sq, *v_lo), _sign_at(p_sq, *v_hi)]
+    c1, c2 = p_sq[1], p_sq[2]
     if c2 > 0:
-        vertex = -c1 / (2 * c2)
-        if v_lo < vertex < v_hi:
-            values.append(poly_v(0, vertex))
+        vx, vy = -c1, 2 * c2  # the vertex
+        if v_lo[0] * vy < vx * v_lo[1] and vx * v_hi[1] < v_hi[0] * vy:
+            values.append(_sign_at(p_sq, vx, vy))
     if any(value < 0 for value in values):
         raise ZariskiError(
             "no affine threshold: P^2 becomes negative inside a sweep chamber"

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,9 @@ from kstab.zariski import (
     Chamber,
     ChamberDecomposition,
     CoverageError,
+    DivisorData,
+    PointDecomposition,
+    PointDivisor,
     ZariskiError,
     decompose_at,
     decompose_parametric,
@@ -67,10 +71,51 @@ def test_decompose_at_cusp_point():
     assert dec.neg_coeffs == (F(1, 6),)
 
 
-def test_decompose_at_rejects_non_pseudoeffective():
+def _whole(message: str) -> str:
+    """A ``match`` pattern for exactly this message."""
+    return f"^{re.escape(message)}$"
+
+
+def test_decompose_at_rejects_non_pseudoeffective(monkeypatch):
     lat = CurveLattice(["a"], [[2]])  # positive self-intersection
-    with pytest.raises(ZariskiError, match="not pseudoeffective"):
+    with pytest.raises(ZariskiError, match=_whole(
+        "not pseudoeffective w.r.t. universe: candidate support {a} is not negative definite"
+    )):
         decompose_at(lat, DivisorClass.of([-1]))
+    # A negative definite block with non-negative off-diagonal entries has an
+    # entrywise non-positive inverse, so the closure's multiplicities cannot
+    # turn negative; a solve with its sign flipped stands in for one that does.
+    real = zariski.bareiss_solve
+
+    def flipped(lat, subset, rhs=()):
+        det, x = real(lat, subset, rhs)
+        return det, [[-n for n in xi] for xi in x]
+
+    monkeypatch.setattr(zariski, "bareiss_solve", flipped)
+    with pytest.raises(ZariskiError, match=_whole(
+        "not pseudoeffective w.r.t. universe: negative multiplicity"
+    )):
+        decompose_at(CurveLattice(["a"], [[-1]]), DivisorClass.of([1]))
+
+
+def test_wrong_length_divisor_is_rejected_at_the_boundary():
+    lat, d = cusp_setup()  # rank 3
+    data = DivisorData.from_parametric(lat, d)
+
+    def mismatch(count):
+        return _whole(f"rank mismatch: divisor has {count} coefficients, lattice rank is 3")
+
+    with pytest.raises(LatticeError, match=mismatch(2)):
+        decompose_at(lat, DivisorClass.of([1, 1]))
+    with pytest.raises(LatticeError, match=mismatch(4)):
+        decompose_at(lat, DivisorClass.of([1, 1, 1, 1]))
+    with pytest.raises(LatticeError, match=mismatch(2)):
+        decompose_at(lat, PointDivisor((F(-1), F(1)), F(0)))
+    short = DivisorData(data.pairings[:2], data.self_sq)
+    with pytest.raises(LatticeError, match=mismatch(2)):
+        decompose_parametric(lat, short, Polygon.rectangle(0, 1, 0, 1))
+    with pytest.raises(LatticeError, match=mismatch(2)):
+        effective_threshold(lat, short, 0, 1)
 
 
 def test_enumeration_agrees_and_is_unique_on_cusp_family():
@@ -221,15 +266,16 @@ def test_sample_retry_skips_outside_and_covered_samples(monkeypatch):
 
     monkeypatch.setattr(Polygon, "interior_points", retry_first)
     samples, builds = [], []
-    _spy(monkeypatch, "decompose_at", samples)
+    _spy(monkeypatch, "_support_closure", samples)
     _spy(monkeypatch, "_build_chamber", builds)
     dec = decompose_parametric(lat, d, dom)
+    discovery_samples = len(samples)
     assert dec.chambers == expected.chambers
     assert oracle_check(lat, d, dec, 40, seed=3).passed
     placed = [c.support for c in dec.chambers]
     assert len(builds) == len(placed)
     # every sample that built nothing repeated a support already placed
-    assert len(samples) > len(builds)
+    assert discovery_samples > len(builds)
 
 
 def crossing_setup():
@@ -279,7 +325,7 @@ def test_volume_monotone_in_v():
         assert high <= low
 
 
-def test_effective_threshold_nodal():
+def nodal_setup():
     names = ["f", "C"] + [f"L{i}" for i in range(1, 10)]
     gram = [[F(0)] * 11 for _ in range(11)]
     gram[0][0], gram[1][1] = F(-1), F(-4)
@@ -292,6 +338,11 @@ def test_effective_threshold_nodal():
         (AffineForm(F(19, 6), F(-7, 6), -1), AffineForm(F(5, 6), F(1, 6)))
         + (AffineForm(F(1, 6), F(-1, 6)),) * 9
     )
+    return lat, d
+
+
+def test_effective_threshold_nodal():
+    lat, d = nodal_setup()
     pieces = effective_threshold(lat, d, 0, 1)
     assert pieces == [(F(0), F(1), AffineForm(F(19, 6), F(-7, 6), 0))]
 
@@ -423,3 +474,273 @@ def test_integer_elimination_matches_fraction_reference(case, data):
         else:
             with pytest.raises(LatticeError):
                 _positive_part(lat, pairings, self_sq, subset)
+
+
+# -- the integer engine against the Fraction engine it replaced --------------
+#
+# The references below are the Fraction support closure and threshold sweep
+# as they stood before the engine moved onto integer rows, with every solve
+# done by ``_positive_part_reference`` behind the Sylvester test.
+
+
+def _solve_reference(lat, pairings, self_sq, support):
+    if not _sylvester_reference(lat, support):
+        raise LatticeError("support is not negative definite")
+    return _positive_part_reference(lat, pairings, self_sq, support)
+
+
+def _decompose_at_reference(lat, point):
+    rank = lat.rank
+    support = []
+    coeffs, p_pairings, p_sq = [], point.pairings, point.self_sq
+    for _ in range(rank + 1):
+        violations = [j for j in range(rank) if j not in support and p_pairings[j] < 0]
+        if not violations:
+            break
+        support = sorted(set(support) | set(violations))
+        try:
+            coeffs, p_pairings, p_sq = _solve_reference(lat, point.pairings, point.self_sq, support)
+        except LatticeError:
+            raise ZariskiError(
+                "not pseudoeffective w.r.t. universe: candidate support "
+                f"{{{', '.join(lat.names[i] for i in support)}}} is not negative definite"
+            ) from None
+    else:
+        raise ZariskiError("support closure failed to stabilize")
+    if any(c < 0 for c in coeffs):
+        raise ZariskiError("not pseudoeffective w.r.t. universe: negative multiplicity")
+    negative = [F(0)] * rank
+    for i, c in zip(support, coeffs):
+        negative[i] = c
+    return PointDecomposition(
+        tuple(support), tuple(coeffs), DivisorClass(tuple(negative)), tuple(p_pairings), p_sq
+    )
+
+
+def _effective_threshold_reference(lat, data, u_lo, u_hi):
+    if u_lo > u_hi:
+        raise ZariskiError("empty u-interval")
+    if u_lo == u_hi:
+        return [(u_lo, u_hi, _threshold_sweep_reference(lat, data, u_lo)[0])]
+    pieces = _threshold_recurse_reference(lat, data, u_lo, u_hi, 0)
+    pieces.sort(key=lambda item: item[0])
+    merged = []
+    for piece in pieces:
+        if merged and merged[-1][2] == piece[2] and merged[-1][1] == piece[0]:
+            merged[-1] = (merged[-1][0], piece[1], piece[2])
+        else:
+            merged.append(piece)
+    return merged
+
+
+def _threshold_recurse_reference(lat, data, u_lo, u_hi, depth):
+    if depth > 64:
+        raise ZariskiError("effective threshold recursion too deep")
+    samples = [u_lo + (u_hi - u_lo) * w for w in (F(1, 2), F(2, 5), F(5, 9), F(3, 11))]
+    last_error = None
+    for u0 in samples:
+        threshold, guards = _threshold_sweep_reference(lat, data, u0)
+        lo, hi = u_lo, u_hi
+        degenerate = False
+        for guard in guards:
+            alpha, beta = guard.c, guard.cu
+            value = alpha + beta * u0
+            if value < 0:
+                raise ZariskiError("threshold sweep produced an inconsistent guard")
+            if value == 0 and beta != 0:
+                degenerate = True
+                break
+            if beta > 0:
+                lo = max(lo, -alpha / beta)
+            elif beta < 0:
+                hi = min(hi, -alpha / beta)
+            elif alpha < 0:
+                raise ZariskiError("threshold sweep produced an impossible guard")
+        if degenerate:
+            last_error = ZariskiError(f"degenerate sweep position at u = {u0}")
+            continue
+        out = [(lo, hi, threshold)]
+        if lo > u_lo:
+            out.extend(_threshold_recurse_reference(lat, data, u_lo, lo, depth + 1))
+        if hi < u_hi:
+            out.extend(_threshold_recurse_reference(lat, data, hi, u_hi, depth + 1))
+        return out
+    raise last_error or ZariskiError("threshold sweep failed")
+
+
+def _threshold_sweep_reference(lat, data, u0):
+    """(threshold, guards), both affine forms in u."""
+    rank = lat.rank
+    guards = []
+
+    def add_guard(form_u):
+        if form_u.is_constant():
+            if form_u.c < 0:
+                raise ZariskiError("inconsistent constant guard")
+            return
+        guards.append(form_u)
+
+    try:
+        start = _decompose_at_reference(lat, data.at(u0, 0))
+    except ZariskiError as exc:
+        raise ZariskiError(f"not pseudoeffective at (u, v) = ({u0}, 0): {exc}") from exc
+    support = list(start.support)
+    parts = _solve_reference(lat, data.pairings, data.self_sq, support)
+    v_cur = AffineForm(0, 0, 0)
+    for _ in range(4 * rank + 8):
+        coeffs, p_pairings, p_sq = parts
+        events = []
+        constraints = [(form, "drop", i) for form, i in zip(coeffs, support)]
+        constraints += [(p_pairings[j], "add", j) for j in range(rank) if j not in support]
+        v_cur_at = v_cur(u0, 0)
+        for form, kind, idx in constraints:
+            if form.cv < 0:
+                root = AffineForm(-form.c / form.cv, -form.cu / form.cv, 0)
+                root_at = root(u0, 0)
+                if root_at < v_cur_at:
+                    raise ZariskiError("sweep constraint already violated")
+                events.append((root_at, root, kind, idx))
+            else:
+                add_guard(AffineForm(form.c + form.cv * v_cur.c, form.cu + form.cv * v_cur.cu, 0))
+        if not events:
+            _reject_unbounded_reference(p_sq, u0)
+        binding_at = min(e[0] for e in events)
+        binding = [e for e in events if e[0] == binding_at]
+        binding_root = binding[0][1]
+        for root_at, root, _, _ in events:
+            if root_at != binding_at:
+                add_guard(root - binding_root)
+        add_guard(binding_root - v_cur)
+        _check_volume_reference(p_sq, u0, v_cur_at, binding_at)
+        adds = [idx for _, _, kind, idx in binding if kind == "add"]
+        drops = [idx for _, _, kind, idx in binding if kind == "drop"]
+        if adds:
+            new_support = sorted(set(support) | set(adds))
+            try:
+                parts = _solve_reference(lat, data.pairings, data.self_sq, new_support)
+            except LatticeError:
+                return binding_root, guards
+            support = new_support
+        elif drops:
+            support = [i for i in support if i not in drops]
+            parts = _solve_reference(lat, data.pairings, data.self_sq, support)
+        v_cur = binding_root
+    raise ZariskiError("threshold sweep failed to terminate")
+
+
+def _reject_unbounded_reference(p_sq, u0):
+    poly_v = p_sq.eval_u(u0)
+    c2, c1 = poly_v.coefficient(0, 2), poly_v.coefficient(0, 1)
+    if c2 < 0 or (c2 == 0 and c1 < 0):
+        raise ZariskiError("no affine threshold: feasibility is bounded only by a P^2 root")
+    raise ZariskiError("no threshold: family remains feasible for all v")
+
+
+def _check_volume_reference(p_sq, u0, v_lo, v_hi):
+    poly_v = p_sq.eval_u(u0)
+    values = [poly_v(0, v_lo), poly_v(0, v_hi)]
+    c2, c1 = poly_v.coefficient(0, 2), poly_v.coefficient(0, 1)
+    if c2 > 0:
+        vertex = -c1 / (2 * c2)
+        if v_lo < vertex < v_hi:
+            values.append(poly_v(0, vertex))
+    if any(value < 0 for value in values):
+        raise ZariskiError("no affine threshold: P^2 becomes negative inside a sweep chamber")
+
+
+def _same_outcome(run, reference):
+    """run() == reference(), or both raise the same exception type and text."""
+    try:
+        expected = reference()
+    except Exception as exc:  # noqa: BLE001 - any failure must be matched
+        with pytest.raises(Exception) as info:
+            run()
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return "raised"
+    assert run() == expected
+    return "returned"
+
+
+_widths = st.one_of(st.just(F(0)), st.builds(F, st.integers(1, 12), st.integers(1, 6)))
+# curve coefficients of a family: a non-negative constant and a v-slope
+# <= 0, so that raising v subtracts curves as the series does
+_curve_forms = st.tuples(
+    st.builds(F, st.integers(0, 12), st.integers(1, 6)),
+    st.builds(F, st.integers(-4, 4), st.integers(1, 6)),
+    st.one_of(st.just(F(0)), st.builds(F, st.integers(-6, -1), st.integers(1, 6))),
+)
+
+
+@st.composite
+def _threshold_case(draw):
+    """(universe, family, curve part, u-interval).
+
+    The universe is a ``_lattice_and_subset`` lattice plus one curve x with
+    x^2 in -2..1 that meets every other curve 0-6 times, so that absorbing
+    can break negative definiteness and a threshold exists.  The family is
+    t h + sum c_i C_i for an ample class h outside the universe (h^2 = H,
+    h . C_i >= 0) and t = T + b u, seen through its pairings with the
+    universe, as the series bands are.
+    """
+    lat, _ = draw(_lattice_and_subset())
+    n = lat.rank + 1
+    row = [F(draw(st.integers(0, 6))) for _ in range(n - 1)]
+    gram = [list(r) + [x] for r, x in zip(lat.gram, row)] + [row + [F(draw(st.integers(-2, 1)))]]
+    k = [F(draw(st.integers(0, 3))) for _ in range(n)]
+    ample = [r + [x] for r, x in zip(gram, k)] + [k + [F(draw(st.integers(1, 20)))]]
+    names = [f"c{i}" for i in range(n)]
+    curves = [AffineForm(*draw(_curve_forms)) for _ in range(n)]
+    t = AffineForm(draw(st.integers(0, 12)), draw(st.builds(F, st.integers(-2, 2), st.integers(1, 6))))
+    full = DivisorData.from_parametric(
+        CurveLattice(names + ["h"], ample), ParametricDivisor.of(curves + [t])
+    )
+    u_lo = draw(_rationals)
+    return (
+        CurveLattice(names, gram),
+        DivisorData(full.pairings[:n], full.self_sq),
+        ParametricDivisor.of(curves),
+        (u_lo, u_lo + draw(_widths)),
+    )
+
+
+@given(_threshold_case(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_integer_engine_matches_fraction_engine(case, data):
+    """effective_threshold and decompose_at agree with the Fraction engine,
+    values or errors, on random affine families, u-intervals and points."""
+    lat, family, curves, (u_lo, u_hi) = case
+    _same_outcome(
+        lambda: effective_threshold(lat, family, u_lo, u_hi),
+        lambda: _effective_threshold_reference(lat, family, u_lo, u_hi),
+    )
+    u, v = data.draw(_rationals), data.draw(_rationals)
+    point = family.at(u, v)
+    _same_outcome(
+        lambda: decompose_at(lat, point),
+        lambda: _decompose_at_reference(lat, point),
+    )
+    divisor = curves.at(u, v)
+    _same_outcome(
+        lambda: decompose_at(lat, divisor),
+        lambda: _decompose_at_reference(lat, PointDivisor.from_class(lat, divisor)),
+    )
+
+
+def test_chambers_match_the_fraction_positive_part():
+    cusp_lat, cusp = cusp_setup()
+    nodal_lat, nodal = nodal_setup()
+    cases = (
+        (cusp_lat, cusp, Polygon([(0, 0), (1, 0), (1, 6), (0, 9)])),
+        (nodal_lat, nodal, Polygon.band(0, 1, AffineForm(F(19, 6), F(-7, 6)))),
+    )
+    for lat, d, domain in cases:
+        data = DivisorData.from_parametric(lat, d)
+        chambers = decompose_parametric(lat, d, domain).chambers
+        assert len(chambers) > 1
+        for chamber in chambers:
+            coeffs, p_pairings, p_sq = _positive_part_reference(
+                lat, data.pairings, data.self_sq, chamber.support
+            )
+            assert chamber.neg_coeffs == tuple(coeffs)
+            assert chamber.p_pairings == tuple(p_pairings)
+            assert chamber.p_squared == p_sq
