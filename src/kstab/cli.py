@@ -124,7 +124,7 @@ def cmd_decompose(args) -> int:
             print(f"error: malformed --at (want u=p/q,v=p/q): {exc}", file=sys.stderr)
             return 2
         hit = None
-        for piece, dec in famdec.parts:
+        for dec in famdec.parts:
             if dec.domain.contains((u, v)):
                 hit = dec
                 break
@@ -149,7 +149,7 @@ def cmd_decompose(args) -> int:
             print("  P^2 =", _rational_cell(result.p_squared))
         return 0
     rows = []
-    for _, dec in famdec.parts:
+    for dec in famdec.parts:
         for chamber in dec.chambers:
             rows.append({
                 "support": [lat.names[i] for i in chamber.support],

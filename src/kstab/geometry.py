@@ -4,20 +4,18 @@ Chambers of the parameter rectangle are convex polygons with rational
 vertices, stored as integer numerators over one positive common denominator
 W in lowest terms.  Clipping, the canonical form, area, containment, the fan
 moments and the vertex minimum all run on those integers and build at most
-one ``Fraction``, at their output.  Integration is fan triangulation from
-vertex 0, by one of two exact paths.  An integrand whose every term has
-total degree <= 2 (every integrand the chamber engine produces) uses
-closed-form fan moments in integer arithmetic.  Higher degrees use an affine
-substitution onto the standard triangle, where monomials integrate to
-a!b!/(a+b+2)!.  Degenerate (zero-area) polygons are legal everywhere and
-integrate to 0, so the chamber engine never special-cases emptiness.
-"""
+one ``Fraction``, at their output.  Integration takes integrands of total
+degree <= 2 (every integrand the chamber engine produces: P^2, (P.C)^2 and
+(P.C) times an affine form) and sums closed-form moments over the fan
+triangulation from vertex 0.  Degenerate (zero-area) polygons are legal
+everywhere and integrate to 0, so the chamber engine never special-cases
+emptiness."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .poly import AffineForm, Polynomial2
@@ -59,11 +57,11 @@ class Polygon:
     den: int
     points: tuple[tuple[int, int], ...]
 
-    def __init__(self, vertices: Sequence, validate: bool = True):
+    def __init__(self, vertices: Sequence):
         scaled = [_over_lcm(*p) for p in vertices]
         den = lcm(*(m for m, _ in scaled))
         self._set(den, [(x * (den // m), y * (den // m)) for m, (x, y) in scaled])
-        if validate and len(self.points) >= 3:
+        if len(self.points) >= 3:
             self._validate_convex_ccw()
 
     @classmethod
@@ -230,37 +228,28 @@ def polygon_clip(poly: Polygon, halfplane: AffineForm) -> Polygon:
     return Polygon._from_ints(w * d, [(x * (d // k), y * (d // k)) for x, y, k in out])
 
 
-def _integrate_std_triangle(p: Polynomial2) -> Fraction:
-    """Integral of p(s, t) over {s >= 0, t >= 0, s + t <= 1}."""
-    total = Fraction(0)
-    for (a, b), coeff in p.terms.items():
-        total += coeff * Fraction(factorial(a) * factorial(b), factorial(a + b + 2))
-    return total
+def _quadratic_coefficients(p: Polynomial2, what: str) -> tuple[int, list[int]]:
+    """(m, m * p's coefficients in the order of _QUADRATIC), for p of total
+    degree <= 2."""
+    if any(a + b > 2 for a, b in p.terms):
+        raise ValueError(f"{what} needs total degree <= 2")
+    return _over_lcm(*(p.coefficient(a, b) for a, b in _QUADRATIC))
 
 
 def integrate_polygon(p: Polynomial2, poly: Polygon) -> Fraction:
-    """Exact double integral of p(u, v) over a convex polygon.
+    """Exact double integral of p(u, v), of total degree <= 2, over a convex
+    polygon.
 
     Fan triangulation from vertex 0; convexity makes the fan a genuine
     partition, and each triangle counts with |det|, so either orientation
-    works.  When every term of p has total degree <= 2 the closed-form fan
-    moments give the value; otherwise each triangle is pulled back to the
-    standard triangle by the affine substitution.
+    works.  Shifting p to vertex 0 changes only its constant and linear terms.
+    Over the fan triangle (0, a, b) with d = |det(a, b)| the monomials
+    integrate to d/2, d(a+b)/6, d(a^2+ab+b^2)/12 and
+    d(2a0a1 + a0b1 + b0a1 + 2b0b1)/24.  With the integer vertices over W and
+    p's coefficients scaled to ints by M, every moment term is an int over
+    24 M W^4, the one ``Fraction``.
     """
-    if all(a + b <= 2 for a, b in p.terms):
-        return _integrate_moments(p, poly)
-    return _integrate_substitution(p, poly)
-
-
-def _integrate_moments(p: Polynomial2, poly: Polygon) -> Fraction:
-    """Closed-form integral of a polynomial of total degree <= 2.
-
-    Shifting p to vertex 0 changes only its constant and linear terms.  Over
-    the fan triangle (0, a, b) with d = |det(a, b)| the monomials integrate to
-    d/2, d(a+b)/6, d(a^2+ab+b^2)/12 and d(2a0a1 + a0b1 + b0a1 + 2b0b1)/24.
-    With the integer vertices over W and p's coefficients scaled to ints by
-    M, every moment term is an int over 24 M W^4, the one ``Fraction``.
-    """
+    m, c = _quadratic_coefficients(p, "integrate_polygon")
     pts, w = poly.points, poly.den
     if len(pts) < 3:
         return Fraction(0)
@@ -277,7 +266,6 @@ def _integrate_moments(p: Polynomial2, poly: Polygon) -> Fraction:
         sxy += d * (2 * ax * ay + ax * by + bx * ay + 2 * bx * by)
         syy += d * (ay * ay + ay * by + by * by)
         ax, ay = bx, by
-    m, c = _over_lcm(*(p.coefficient(a, b) for a, b in _QUADRATIC))
     # the linear terms of p shifted to vertex 0, times m * w
     c10 = c[1] * w + 2 * c[3] * ox + c[4] * oy
     c01 = c[2] * w + c[4] * ox + 2 * c[5] * oy
@@ -286,27 +274,6 @@ def _integrate_moments(p: Polynomial2, poly: Polygon) -> Fraction:
         + 2 * c[3] * sxx + c[4] * sxy + 2 * c[5] * syy,
         24 * m * w**4,
     )
-
-
-def _integrate_substitution(p: Polynomial2, poly: Polygon) -> Fraction:
-    """Integral of a polynomial of any degree by affine substitution of each
-    fan triangle onto the standard triangle, with Jacobian |det|."""
-    verts = poly.canonical().vertices
-    if len(verts) < 3:
-        return Fraction(0)
-    p0 = verts[0]
-    total = Fraction(0)
-    for i in range(1, len(verts) - 1):
-        p1, p2 = verts[i], verts[i + 1]
-        du1, dv1 = p1[0] - p0[0], p1[1] - p0[1]
-        du2, dv2 = p2[0] - p0[0], p2[1] - p0[1]
-        jac = du1 * dv2 - du2 * dv1
-        if jac == 0:
-            continue
-        u_form = AffineForm(p0[0], du1, du2)  # u = u0 + s*du1 + t*du2
-        v_form = AffineForm(p0[1], dv1, dv2)
-        total += abs(jac) * _integrate_std_triangle(p.substitute(u_form, v_form))
-    return total
 
 
 def split_by_line(poly: Polygon, line: AffineForm) -> tuple[Polygon, Polygon]:
@@ -320,12 +287,10 @@ def quadratic_min_on_polygon(p: Polynomial2, poly: Polygon) -> Fraction:
     The minimum sits at a vertex, at a parabola vertex interior to an edge,
     or at an interior stationary point; all are rational and enumerable.
     """
-    if p.degrees() > (2, 2) or any(a + b > 2 for a, b in p.terms):
-        raise ValueError("quadratic_min_on_polygon needs total degree <= 2")
+    m, c = _quadratic_coefficients(p, "quadratic_min_on_polygon")
     corners = poly.canonical()
     if not corners.points:
         raise ValueError("empty polygon")
-    m, c = _over_lcm(*(p.coefficient(a, b) for a, b in _QUADRATIC))
     w = corners.den
     candidates = [
         Fraction(min(_quadratic_at(c, w, x, y) for x, y in corners.points), m * w * w)
@@ -371,11 +336,12 @@ def polygon_intersection(a: Polygon, b: Polygon) -> Polygon:
     return out
 
 
-def shared_edge_line(a: Polygon, b: Polygon) -> AffineForm | None:
-    """A line supporting a positive-length common boundary segment, or None.
+def shared_edge(a: Polygon, b: Polygon) -> tuple[Point, Point] | None:
+    """The endpoints of a positive-length common boundary segment, or None.
 
     Two chambers are adjacent when some edge of each lies on the same line
-    and their parameter spans overlap in more than a point.
+    and their parameter spans overlap in more than a point; the overlap then
+    runs between the middle two of the four edge endpoints along the line.
     """
     for (a0, a1) in a.edges():
         for (b0, b1) in b.edges():
@@ -392,25 +358,6 @@ def shared_edge_line(a: Polygon, b: Polygon) -> AffineForm | None:
             lo_a, hi_a = sorted((param(a0), param(a1)))
             lo_b, hi_b = sorted((param(b0), param(b1)))
             if min(hi_a, hi_b) > max(lo_a, lo_b):
-                # inward normal is irrelevant for identity checks on the line
-                return AffineForm(
-                    a0[0] * a1[1] - a1[0] * a0[1],
-                    a0[1] - a1[1],
-                    a1[0] - a0[0],
-                )
+                ends = sorted((a0, a1, b0, b1), key=param)
+                return ends[1], ends[2]
     return None
-
-
-def restrict_to_line(p: Polynomial2, line: AffineForm) -> Polynomial2:
-    """Substitute the affine relation {line = 0} into p, for boundary identities.
-
-    Solves the line for v (or u when the line is vertical) and substitutes,
-    returning a univariate polynomial in the remaining parameter.
-    """
-    if line.cv != 0:
-        v_expr = AffineForm(-line.c / line.cv, -line.cu / line.cv, 0)
-        return p.substitute(AffineForm(0, 1, 0), v_expr)
-    if line.cu != 0:
-        u_expr = AffineForm(-line.c / line.cu, 0, -line.cv / line.cu)
-        return p.substitute(u_expr, AffineForm(0, 0, 1))
-    raise ValueError("not a line")

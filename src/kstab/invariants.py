@@ -48,9 +48,6 @@ class ThreefoldFamilyData:
     triple_form: dict[tuple[int, int, int], Fraction]  # keys sorted ascending
     anticanonical_volume: Fraction
     intervals: tuple[ThreefoldInterval, ...]
-    # families of the shape -K - uD start at the anticanonical class, which
-    # pins P(0)^3 to the declared volume; disable for other rays
-    anchored: bool = True
 
     def triple(self, i: int, j: int, k: int) -> Fraction:
         return self.triple_form.get(tuple(sorted((i, j, k))), Fraction(0))
@@ -123,7 +120,7 @@ class ThreefoldFamilyData:
                     f"P(u)^3 is discontinuous at u = {prev.u_hi}"
                 )
         first = intervals[0]
-        if self.anchored and first.u_lo == 0 and all(form.is_zero() for form in first.n):
+        if first.u_lo == 0 and all(form.is_zero() for form in first.n):
             if self.cubed(first.p)(0, 0) != self.anticanonical_volume:
                 raise InvariantError(
                     "P(0)^3 does not equal the declared anticanonical volume"
@@ -172,13 +169,12 @@ class SurfaceFamily:
 
 @dataclass(frozen=True)
 class FamilyDecomposition:
-    family: SurfaceFamily
     lattice: CurveLattice
     thresholds: tuple[tuple[Fraction, Fraction, AffineForm], ...]
-    parts: tuple[tuple[SurfacePiece, ChamberDecomposition], ...]
+    parts: tuple[ChamberDecomposition, ...]
 
     def chambers(self):
-        for _, dec in self.parts:
+        for dec in self.parts:
             yield from dec.chambers
 
 
@@ -190,14 +186,14 @@ def decompose_family(lat: CurveLattice, family: SurfaceFamily) -> FamilyDecompos
         thresholds.extend(segments)
         for lo, hi, top in segments:
             domain = Polygon.band(lo, hi, top)
-            parts.append((piece, decompose_parametric(lat, piece.divisor, domain)))
+            parts.append(decompose_parametric(lat, piece.divisor, domain))
     thresholds_t = tuple(thresholds)
     if family.declared_threshold is not None and thresholds_t != tuple(family.declared_threshold):
         raise InvariantError(
             f"computed threshold {thresholds_t} differs from the declared one "
             f"for family {family.name!r}"
         )
-    return FamilyDecomposition(family, lat, thresholds_t, tuple(parts))
+    return FamilyDecomposition(lat, thresholds_t, tuple(parts))
 
 
 # -- flags -------------------------------------------------------------------

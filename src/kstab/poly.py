@@ -16,7 +16,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .rationals import format_rational, rat
@@ -109,23 +108,6 @@ class Polynomial2:
     def __hash__(self):  # the terms field is a dict
         return hash(frozenset(self.terms.items()))
 
-    def substitute(self, u_form: "AffineForm", v_form: "AffineForm") -> "Polynomial2":
-        """p(u_form(u', v'), v_form(u', v')) as a polynomial in the new variables."""
-        pu = u_form.to_poly()
-        pv = v_form.to_poly()
-        # cache powers; degrees are tiny
-        max_u, max_v = self.degrees()
-        pow_u = [Polynomial2.const(1)]
-        for _ in range(max_u):
-            pow_u.append(pow_u[-1] * pu)
-        pow_v = [Polynomial2.const(1)]
-        for _ in range(max_v):
-            pow_v.append(pow_v[-1] * pv)
-        total = Polynomial2()
-        for (du, dv), coeff in self.terms.items():
-            total = total + pow_u[du] * pow_v[dv] * coeff
-        return total
-
     def eval_u(self, u) -> "Polynomial2":
         """Substitute a rational value for u, leaving a polynomial in v."""
         u = rat(u)
@@ -192,15 +174,6 @@ class AffineForm:
 
     def to_poly(self) -> Polynomial2:
         return Polynomial2({(0, 0): self.c, (1, 0): self.cu, (0, 1): self.cv})
-
-    def normalized(self) -> "AffineForm":
-        """Scale by the unique positive rational making the coefficient tuple
-        primitive integers; preserves the half-plane {self >= 0}."""
-        coeffs = (self.c, self.cu, self.cv)
-        m = lcm(*(x.denominator for x in coeffs))
-        ints = [x.numerator * (m // x.denominator) for x in coeffs]
-        g = gcd(*ints) or 1
-        return AffineForm(*(k // g for k in ints))
 
     def __repr__(self):
         parts = []

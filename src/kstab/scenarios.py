@@ -298,6 +298,7 @@ def scenario_from_dict(raw: dict, origin: str = "<memory>") -> Scenario:
     for idx, entry in enumerate(expectations):
         if not isinstance(entry, dict) or "op" not in entry or "value" not in entry:
             raise ScenarioError(f"{origin}:expect[{idx}]: needs an object with op and value")
+        _field(entry, "args", f"{origin}:expect[{idx}]", dict, {})
         _check_value(entry["value"], origin, idx)
     return Scenario(
         id=sid,
@@ -334,6 +335,14 @@ def load_corpus() -> list[Scenario]:
 
 
 # -- evaluation --------------------------------------------------------------
+
+
+class _Args(dict):
+    """The arguments of one expectation; a missing one is a ScenarioError
+    that names it."""
+
+    def __missing__(self, key):
+        raise ScenarioError(f"missing argument {key!r}")
 
 
 def _int_arg(args: dict, key: str, minimum: int | None = None, default: int | None = None) -> int:
@@ -409,6 +418,7 @@ class ScenarioRuntime:
         return out
 
     def evaluate(self, op: str, args: dict):
+        args = _Args(args)
         scenario = self.scenario
         lat = scenario.lattice
         if op == "pair":
@@ -445,11 +455,11 @@ class ScenarioRuntime:
             ]
         if op == "chamber_count":
             famdec = self.family_decomposition(args["family"])
-            return sum(len(dec.chambers) for _, dec in famdec.parts)
+            return sum(len(dec.chambers) for dec in famdec.parts)
         if op == "chamber_supports":
             famdec = self.family_decomposition(args["family"])
             supports = []
-            for _, dec in famdec.parts:
+            for dec in famdec.parts:
                 for chamber in dec.chambers:
                     names = [lat.names[i] for i in chamber.support]
                     if names not in supports:
@@ -458,21 +468,27 @@ class ScenarioRuntime:
         if op == "chamber_pairing":
             famdec = self.family_decomposition(args["family"])
             chambers = list(famdec.chambers())
-            chamber = chambers[_int_arg(args, "chamber", minimum=0)]
+            k = _int_arg(args, "chamber", minimum=0)
+            if k >= len(chambers):
+                raise ScenarioError(
+                    f"argument 'chamber' must be below the {len(chambers)} chambers "
+                    f"of family {args['family']!r}, got {k}"
+                )
+            chamber = chambers[k]
             form = chamber.p_pairings[lat.index(args["curve"])]
             return [format_rational(form.c), format_rational(form.cu), format_rational(form.cv)]
         if op == "oracle":
             famdec = self.family_decomposition(args["family"])
             samples = _int_arg(args, "samples", minimum=1, default=20)
             seed = _int_arg(args, "seed", default=7)
-            for _, dec in famdec.parts:
+            for dec in famdec.parts:
                 report = oracle_check(lat, dec.divisor, dec, samples, seed=seed)
                 if not report.passed:
                     return False
             return True
         if op == "continuity":
             famdec = self.family_decomposition(args["family"])
-            for _, dec in famdec.parts:
+            for dec in famdec.parts:
                 dec.validate_continuity()
             return True
         if op == "beta":

@@ -39,6 +39,7 @@ from .geometry import (
     polygon_clip,
     polygon_intersection,
     quadratic_min_on_polygon,
+    shared_edge,
 )
 from .lattice import (
     CurveLattice,
@@ -384,20 +385,24 @@ class ChamberDecomposition:
 
     def validate_continuity(self) -> None:
         """Volume continuity: P^2 of adjacent chambers agrees identically on
-        the shared boundary line (polynomial identity after substitution)."""
-        from .geometry import restrict_to_line, shared_edge_line
-
+        the shared boundary segment.  Along the segment both are polynomials
+        of degree <= deg, the larger total degree of the two, so equal values
+        at deg + 1 distinct points decide the identity exactly."""
         for i in range(len(self.chambers)):
             for j in range(i + 1, len(self.chambers)):
-                line = shared_edge_line(self.chambers[i].region, self.chambers[j].region)
-                if line is None:
+                segment = shared_edge(self.chambers[i].region, self.chambers[j].region)
+                if segment is None:
                     continue
-                left = restrict_to_line(self.chambers[i].p_squared, line)
-                right = restrict_to_line(self.chambers[j].p_squared, line)
-                if left != right:
-                    raise ZariskiError(
-                        f"P^2 discontinuous across chambers {i} and {j}"
-                    )
+                left, right = self.chambers[i].p_squared, self.chambers[j].p_squared
+                deg = max((a + b for p in (left, right) for a, b in p.terms), default=0)
+                (x0, y0), (x1, y1) = segment
+                for k in range(deg + 1):
+                    t = Fraction(k, max(deg, 1))
+                    x, y = x0 + t * (x1 - x0), y0 + t * (y1 - y0)
+                    if left(x, y) != right(x, y):
+                        raise ZariskiError(
+                            f"P^2 discontinuous across chambers {i} and {j}"
+                        )
 
     def validate_orthogonality(self) -> None:
         for chamber in self.chambers:
@@ -412,9 +417,9 @@ def _build_chamber(lat: CurveLattice, d: DivisorData, columns, domain: Polygon, 
     """Parametric data and validity region for one candidate support.
 
     ``columns`` is ``_int_columns(d.pairings)``.  Each half-plane is a
-    coefficient or an off-support pairing as a primitive integer row (the
-    row over den > 0 divided by its gcd, the form ``AffineForm.normalized``
-    gives).
+    coefficient or an off-support pairing as a primitive integer row: the
+    row over den > 0 divided by its gcd, which keeps the half-plane and
+    gives equal half-planes equal rows.
     """
     m, r = columns
     den, coeffs, pairs, nd, nd_den = _int_positive_part(lat, m, r, support)

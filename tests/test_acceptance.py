@@ -12,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from kstab import cli
 from kstab.cli import series_payload
 from kstab.closed_forms import f_closed, m_closed, s_closed
 from kstab.scenarios import ScenarioRuntime, load_corpus
@@ -259,6 +260,20 @@ def test_series_500_json_is_byte_identical(series500):
     assert hashlib.sha256(text.encode()).hexdigest() == SERIES500_JSON_SHA256
 
 
+# sha256 of the report of `kstab verify --all --json` with every "seconds"
+# dropped, re-dumped with indent=1 and sorted keys (no trailing newline)
+VERIFY_ALL_JSON_SHA256 = "ecac6d52cf1dc95ce08a54e5d8060669c45af447cd9184ad6476e36a8c318c79"
+
+
+def test_verify_all_json_is_byte_identical(capsys):
+    assert cli.main(["verify", "--all", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for row in payload["reports"]:
+        del row["seconds"]
+    text = json.dumps(payload, indent=1, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_ALL_JSON_SHA256
+
+
 def test_criterion_11_f_partial_sum(series500):
     assert series500.f_partial < F(14, 1000)
     report("11", f"F partial at 500 = {series500.f_decimal} < 0.014")
@@ -269,7 +284,7 @@ def test_criterion_12_oracle_equivalence(runtimes):
     for sid, runtime in sorted(runtimes.items()):
         for name in runtime.scenario.families:
             famdec = runtime.family_decomposition(name)
-            for _, dec in famdec.parts:
+            for dec in famdec.parts:
                 result = oracle_check(
                     runtime.scenario.lattice, dec.divisor, dec, 100, seed=42
                 )
@@ -284,7 +299,7 @@ def test_criterion_13_chamber_continuity(runtimes):
     for sid, runtime in sorted(runtimes.items()):
         for name in runtime.scenario.families:
             famdec = runtime.family_decomposition(name)
-            for _, dec in famdec.parts:
+            for dec in famdec.parts:
                 dec.validate_continuity()
                 checked += 1
     assert checked >= 25

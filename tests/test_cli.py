@@ -97,6 +97,7 @@ def test_verify_missing_field_exit_two(tmp_path, scenario, keys, path):
     ("delta-bounds", ("expect", 0, "value"), {"decimal": "abc", "tol": "1"},
      "expect[0].value.decimal"),
     ("delta-bounds", ("expect", 0, "value"), "abc", "expect[0].value"),
+    ("24-cusp", ("expect", 0, "args"), ["f"], "expect[0].args"),
 ])
 def test_verify_malformed_value_exit_two(tmp_path, scenario, keys, value, path):
     raw = json.loads((corpus_dir() / f"{scenario}.json").read_text())

@@ -1,5 +1,6 @@
 import pickle
 from fractions import Fraction as F
+from math import factorial, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -7,14 +8,11 @@ from hypothesis import strategies as st
 
 from kstab.geometry import (
     Polygon,
-    _integrate_moments,
-    _integrate_substitution,
     integrate_polygon,
     polygon_clip,
     polygon_intersection,
     quadratic_min_on_polygon,
-    restrict_to_line,
-    shared_edge_line,
+    shared_edge,
     split_by_line,
 )
 from kstab.poly import AffineForm, Polynomial2, poly_from_terms
@@ -52,6 +50,57 @@ def gauss_integrate(p, poly, order=12):
     return total
 
 
+def unchecked(verts):
+    """The polygon on verts without the convex counter-clockwise check, for
+    clockwise inputs."""
+    den = lcm(*(F(c).denominator for p in verts for c in p))
+    return Polygon._from_ints(den, [(int(F(x) * den), int(F(y) * den)) for x, y in verts])
+
+
+def _ref_substitute(p, u_form, v_form):
+    """p(u_form(s, t), v_form(s, t)) as a polynomial in (s, t)."""
+    pu, pv = u_form.to_poly(), v_form.to_poly()
+    max_u, max_v = p.degrees()
+    pow_u = [Polynomial2.const(1)]
+    for _ in range(max_u):
+        pow_u.append(pow_u[-1] * pu)
+    pow_v = [Polynomial2.const(1)]
+    for _ in range(max_v):
+        pow_v.append(pow_v[-1] * pv)
+    total = Polynomial2()
+    for (du, dv), coeff in p.terms.items():
+        total = total + pow_u[du] * pow_v[dv] * coeff
+    return total
+
+
+def _ref_std_triangle(p):
+    """Integral of p(s, t) over {s >= 0, t >= 0, s + t <= 1}."""
+    return sum(
+        (coeff * F(factorial(a) * factorial(b), factorial(a + b + 2))
+         for (a, b), coeff in p.terms.items()),
+        F(0),
+    )
+
+
+def _ref_integrate(p, poly):
+    """Integral of a polynomial of any degree over a convex polygon, by
+    affine substitution of each fan triangle onto the standard triangle with
+    Jacobian |det|: the exact reference for the degree <= 2 moment kernel."""
+    verts = poly.canonical().vertices
+    if len(verts) < 3:
+        return F(0)
+    p0 = verts[0]
+    total = F(0)
+    for p1, p2 in zip(verts[1:], verts[2:]):
+        du1, dv1 = p1[0] - p0[0], p1[1] - p0[1]
+        du2, dv2 = p2[0] - p0[0], p2[1] - p0[1]
+        jac = du1 * dv2 - du2 * dv1
+        u_form = AffineForm(p0[0], du1, du2)  # u = u0 + s*du1 + t*du2
+        v_form = AffineForm(p0[1], dv1, dv2)
+        total += abs(jac) * _ref_std_triangle(_ref_substitute(p, u_form, v_form))
+    return total
+
+
 def test_clip_noop():
     assert polygon_clip(UNIT_SQUARE, AffineForm(0, 1, 0)) == UNIT_SQUARE
 
@@ -83,8 +132,15 @@ def test_integrate_singular_fiber_volume():
 
 
 def test_integrate_degenerate_is_zero():
-    flat = Polygon([(0, 0), (1, 0), (2, 0)], validate=False)
+    flat = Polygon([(0, 0), (1, 0), (2, 0)])
     assert integrate_polygon(Polynomial2.const(5), flat) == 0
+
+
+def test_integrate_rejects_degree_three():
+    for terms in ([(2, 1, 1)], [(3, 0, 1), (0, 0, 2)], [(0, 3, -1)]):
+        for poly in (UNIT_SQUARE, Polygon([(0, 0), (1, 0), (2, 0)])):
+            with pytest.raises(ValueError, match="total degree <= 2"):
+                integrate_polygon(poly_from_terms(terms), poly)
 
 
 def test_band_with_vanishing_edge():
@@ -105,58 +161,67 @@ small_polys = st.dictionaries(
 ).map(Polynomial2)
 
 
-@given(small_polys, rational_01, rational_01)
+quadratic_polys = st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+    st.fractions(min_value=F(-9), max_value=F(9), max_denominator=8),
+    max_size=6,
+).map(Polynomial2)
+
+
+# Each property runs the degree <= 6 reference on small_polys and the
+# kernel on quadratic_polys.
+
+
+@given(small_polys, quadratic_polys, rational_01, rational_01)
 @settings(max_examples=60)
-def test_split_additivity(p, a, b):
+def test_split_additivity(p, q, a, b):
     """Integration is additive under any chord split of the polygon."""
     line = AffineForm(a - b, b - 1, 1)  # through (a,0) with slope (1-b)
     lhs, rhs = split_by_line(UNIT_SQUARE, line)
-    split_total = integrate_polygon(p, lhs) + integrate_polygon(p, rhs)
-    assert split_total == integrate_polygon(p, UNIT_SQUARE)
+    for integrate, poly in ((_ref_integrate, p), (integrate_polygon, q)):
+        split_total = integrate(poly, lhs) + integrate(poly, rhs)
+        assert split_total == integrate(poly, UNIT_SQUARE)
 
 
 @given(
     small_polys,
+    quadratic_polys,
     st.fractions(min_value=F(1, 8), max_value=F(3), max_denominator=8),
     st.fractions(min_value=F(1, 8), max_value=F(2), max_denominator=8),
 )
 @settings(max_examples=40)
-def test_fubini_on_rectangles(p, width, height):
+def test_fubini_on_rectangles(p, q, width, height):
     from kstab.poly import integrate_interval
 
     rect = Polygon.rectangle(0, width, 0, height)
-    # iterate: integrate in v monomial-by-monomial, then in u
-    inner = {}
-    for (du, dv), c in p.terms.items():
-        inner[(du, 0)] = inner.get((du, 0), F(0)) + c * height ** (dv + 1) / (dv + 1)
-    iterated = integrate_interval(Polynomial2(inner), 0, width)
-    assert integrate_polygon(p, rect) == iterated
+    for integrate, poly in ((_ref_integrate, p), (integrate_polygon, q)):
+        # iterate: integrate in v monomial-by-monomial, then in u
+        inner = {}
+        for (du, dv), c in poly.terms.items():
+            inner[(du, 0)] = inner.get((du, 0), F(0)) + c * height ** (dv + 1) / (dv + 1)
+        iterated = integrate_interval(Polynomial2(inner), 0, width)
+        assert integrate(poly, rect) == iterated
 
 
-@given(small_polys, st.integers(0, 10_000))
+@given(small_polys, quadratic_polys, st.integers(0, 10_000))
 @settings(max_examples=200, deadline=None)
-def test_numeric_quadrature_cross_check(p, seed):
+def test_numeric_quadrature_cross_check(p, q, seed):
     import random
 
     rng = random.Random(seed)
-    poly = UNIT_SQUARE
+    region = UNIT_SQUARE
     for _ in range(rng.randint(0, 2)):
         line = AffineForm(
             F(rng.randint(-2, 2), rng.randint(1, 3)),
             F(rng.randint(-3, 3), rng.randint(1, 3)),
             1,
         )
-        poly = polygon_clip(poly, line)
-    exact = integrate_polygon(p, poly)
-    approx = gauss_integrate(p, poly)
-    assert abs(float(exact) - approx) <= 1e-9 * max(1.0, abs(float(exact)))
+        region = polygon_clip(region, line)
+    for integrate, poly in ((_ref_integrate, p), (integrate_polygon, q)):
+        exact = integrate(poly, region)
+        approx = gauss_integrate(poly, region)
+        assert abs(float(exact) - approx) <= 1e-9 * max(1.0, abs(float(exact)))
 
-
-quadratic_polys = st.dictionaries(
-    st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
-    st.fractions(min_value=F(-9), max_value=F(9), max_denominator=8),
-    max_size=6,
-).map(Polynomial2)
 small_rational = st.fractions(min_value=F(-2), max_value=F(2), max_denominator=6)
 clip_lines = st.tuples(small_rational, small_rational, small_rational).map(
     lambda c: AffineForm(*c)
@@ -183,7 +248,7 @@ def fast_path_polygons(draw):
             verts += [a, ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)]
         poly = Polygon(verts)
     elif shape == "clockwise":
-        poly = Polygon(poly.vertices[::-1], validate=False)
+        poly = unchecked(poly.vertices[::-1])
     elif shape == "degenerate":
         line = draw(clip_lines)
         poly = polygon_clip(polygon_clip(poly, line), -line)
@@ -193,10 +258,9 @@ def fast_path_polygons(draw):
 @given(quadratic_polys, fast_path_polygons())
 @settings(max_examples=300, deadline=None)
 def test_moments_match_substitution_exactly(p, poly):
-    """The closed-form moments path agrees with the substitution path."""
-    fast = _integrate_moments(p, poly)
-    assert fast == _integrate_substitution(p, poly)
-    assert integrate_polygon(p, poly) == fast
+    """The closed-form moment kernel agrees with the substitution reference."""
+    fast = integrate_polygon(p, poly)
+    assert fast == _ref_integrate(p, poly)
     if poly.is_degenerate():
         assert fast == 0
 
@@ -205,12 +269,12 @@ def test_moments_path_handles_each_shape():
     p = poly_from_terms([(0, 0, 1), (1, 0, -2), (1, 1, 3), (0, 2, F(1, 2))])
     tri = Polygon([(0, 0), (2, 0), (0, 1)])
     with_midpoints = Polygon([(0, 0), (1, 0), (2, 0), (1, F(1, 2)), (0, 1), (0, F(1, 2))])
-    clockwise = Polygon(tri.vertices[::-1], validate=False)
-    expected = _integrate_substitution(p, tri)
+    clockwise = unchecked(tri.vertices[::-1])
+    expected = _ref_integrate(p, tri)
     for poly in (tri, with_midpoints, clockwise):
-        assert _integrate_moments(p, poly) == expected
-    flat = Polygon([(0, 0), (1, 1), (3, 3)], validate=False)
-    assert _integrate_moments(p, flat) == 0 == _integrate_substitution(p, flat)
+        assert integrate_polygon(p, poly) == expected
+    flat = Polygon([(0, 0), (1, 1), (3, 3)])
+    assert integrate_polygon(p, flat) == 0 == _ref_integrate(p, flat)
 
 
 def test_polygon_intersection():
@@ -219,17 +283,16 @@ def test_polygon_intersection():
     assert overlap.area() == F(1, 4)
 
 
-def test_shared_edge_and_restriction():
+def test_shared_edge_segment():
     left = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     right = Polygon([(1, F(1, 2)), (2, F(1, 2)), (2, 2), (1, 2)])
-    line = shared_edge_line(left, right)
-    assert line is not None
-    assert line(1, F(3, 4)) == 0
-    p = poly_from_terms([(1, 1, 1)])  # u*v restricted to u = 1 is v
-    restricted = restrict_to_line(p, line)
-    assert restricted(0, F(2, 3)) == F(2, 3)
+    # the overlap of the edges u = 1, v in [0, 1] and v in [1/2, 2]
+    assert set(shared_edge(left, right)) == {(1, F(1, 2)), (1, 1)}
+    assert set(shared_edge(right, left)) == {(1, F(1, 2)), (1, 1)}
+    corner = Polygon.rectangle(1, 2, 1, 2)  # meets left only at (1, 1)
+    assert shared_edge(left, corner) is None
     far = Polygon.rectangle(5, 6, 5, 6)
-    assert shared_edge_line(left, far) is None
+    assert shared_edge(left, far) is None
 
 
 # -- Fraction reference: the kernels as they were before the integer form --
@@ -325,7 +388,7 @@ def _ref_quadratic_min(p, verts):
 
 @st.composite
 def reference_polygons(draw):
-    """(vertex list, validate flag): a rational rectangle clipped 0-2 times
+    """(vertex list, convex flag): a rational rectangle clipped 0-2 times
     by the Fraction reference, then kept, given collinear edge midpoints,
     reversed to clockwise, flattened to zero area, or cut to 0-2 vertices."""
     u0, v0 = draw(small_rational), draw(small_rational)
@@ -375,8 +438,8 @@ def halfplanes_for(draw, verts):
 @given(reference_polygons(), quadratic_polys, st.data())
 @settings(max_examples=400, deadline=None)
 def test_integer_kernels_match_fraction_reference(case, p, data):
-    verts, validate = case
-    poly = Polygon(verts, validate=validate)
+    verts, convex = case
+    poly = Polygon(verts) if convex else unchecked(verts)
     ref = _ref_clean([(F(x), F(y)) for x, y in verts])
     assert poly.vertices == ref
     h = data.draw(halfplanes_for(ref))
@@ -384,8 +447,8 @@ def test_integer_kernels_match_fraction_reference(case, p, data):
     for mine, theirs in ((polygon_clip(poly, h), _ref_clip(ref, h)),
                          (poly.canonical(), _ref_canonical(ref))):
         assert mine.vertices == theirs
-        assert mine == Polygon(theirs, validate=False)
-        assert hash(mine) == hash(Polygon(theirs, validate=False))
+        assert mine == unchecked(theirs)
+        assert hash(mine) == hash(unchecked(theirs))
     assert poly.signed_area() == _ref_signed_area(ref)
     assert poly.is_degenerate() == (_ref_signed_area(ref) == 0)
     n = len(ref)

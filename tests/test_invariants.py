@@ -47,8 +47,7 @@ def test_s_threefold_zero_family():
     zero = AffineForm(0)
     data = ThreefoldFamilyData(
         ("H",), {(0, 0, 0): F(1)}, F(4),
-        (ThreefoldInterval(F(0), F(1), (zero,), (zero,)),),
-        anchored=False,
+        (ThreefoldInterval(F(1), F(2), (zero,), (zero,)),),
     )
     assert s_threefold(data) == 0
 

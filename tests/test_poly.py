@@ -83,23 +83,6 @@ def test_affine_product_is_polynomial():
     assert p.coefficient(1, 0) == -2
 
 
-def test_affine_normalized_keeps_halfplane_orientation():
-    f = AffineForm(F(1, 2), F(-3, 2), 0).normalized()
-    assert (f.c, f.cu, f.cv) == (1, -3, 0)
-    g = AffineForm(F(-2, 4), 0, F(1, 4)).normalized()
-    assert (g.c, g.cu, g.cv) == (-2, 0, 1)
-
-
-@given(
-    st.fractions(max_denominator=6, min_value=F(-5), max_value=F(5)),
-    st.fractions(max_denominator=6, min_value=F(-5), max_value=F(5)),
-)
-def test_substitution_agrees_with_evaluation(u, v):
-    p = poly_from_terms([(2, 1, 3), (1, 0, -2), (0, 2, F(1, 2)), (0, 0, 7)])
-    composed = p.substitute(AffineForm(1, 2, -1), AffineForm(0, 1, 1))
-    assert composed(u, v) == p(1 + 2 * u - v, u + v)
-
-
 def test_degree_warning_threshold():
     with pytest.warns(UserWarning, match="sanity threshold"):
         poly_from_terms([(7, 0, 1)])

@@ -173,6 +173,7 @@ REPLACEMENTS = [None, 0, "x", [], {}, ["x"]]
     ("24-cusp", "oracle", "samples", -3),
     ("24-cusp", "oracle", "seed", "7"),
     ("24-cusp", "chamber_pairing", "chamber", -1),
+    ("24-cusp", "chamber_pairing", "chamber", 99),
 ])
 def test_malformed_expectation_argument_is_an_error_row(scenario_id, op, key, value):
     """An argument of the wrong JSON type or out of range is an error row
@@ -186,6 +187,15 @@ def test_malformed_expectation_argument_is_an_error_row(scenario_id, op, key, va
     assert row.status == "error"
     assert repr(key) in row.detail
     assert report.errored
+
+
+def test_missing_expectation_argument_is_an_error_row():
+    raw = copy.deepcopy(CORPUS_RAW["delta-bounds"])
+    entry = next(e for e in raw["expect"] if e["op"] == "delta_min")
+    del entry["args"]["terms"]
+    raw["expect"] = [entry]
+    (row,) = run_expectations(scenario_from_dict(raw)).rows
+    assert (row.status, row.detail) == ("error", "missing argument 'terms'")
 
 
 @given(st.sampled_from(sorted(CORPUS_RAW)), st.data())

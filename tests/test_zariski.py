@@ -233,6 +233,28 @@ def test_oracle_check_passes_and_catches_corruption():
     assert "negative parts differ" in report.failures[0].detail
 
 
+def test_continuity_is_checked_between_the_endpoints():
+    """P^2 of two chambers across u = 1 that differ by v(1 - v) agree at
+    both ends of the shared edge but not at its midpoint, so continuity
+    fails; a difference of (u - 1) v vanishes on the whole edge."""
+    lat, d = cusp_setup()
+    base = Polynomial2({(0, 0): 4, (1, 0): -1, (1, 1): F(1, 2), (0, 2): -1})
+
+    def across_u_equals_one(difference):
+        chambers = tuple(
+            Chamber(region, (), (), (), p_squared)
+            for region, p_squared in ((Polygon.rectangle(0, 1, 0, 1), base),
+                                      (Polygon.rectangle(1, 2, 0, 1), base + difference))
+        )
+        return ChamberDecomposition(
+            lat, DivisorData.from_parametric(lat, d), Polygon.rectangle(0, 2, 0, 1), chambers
+        )
+
+    across_u_equals_one(Polynomial2({(1, 1): 1, (0, 1): -1})).validate_continuity()
+    with pytest.raises(ZariskiError, match="discontinuous across chambers 0 and 1"):
+        across_u_equals_one(Polynomial2({(0, 1): 1, (0, 2): -1})).validate_continuity()
+
+
 def test_oracle_check_empty_domain_is_vacuous():
     lat, d = cusp_setup()
     dec = decompose_parametric(lat, d, Polygon([]))
