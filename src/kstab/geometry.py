@@ -2,14 +2,17 @@
 
 Chambers of the parameter rectangle are convex polygons with rational
 vertices, stored as integer numerators over one positive common denominator
-W in lowest terms.  Clipping, the canonical form, area, containment, the fan
-moments and the vertex minimum all run on those integers and build at most
-one ``Fraction``, at their output.  Integration takes integrands of total
-degree <= 2 (every integrand the chamber engine produces: P^2, (P.C)^2 and
-(P.C) times an affine form) and sums closed-form moments over the fan
-triangulation from vertex 0.  Degenerate (zero-area) polygons are legal
-everywhere and integrate to 0, so the chamber engine never special-cases
-emptiness."""
+W in lowest terms.  Clipping, the canonical form, area and containment run
+on those integers and build at most one ``Fraction``, at their output.
+``polygon_moments`` is the one integration kernel: it returns the six fan
+moments (the integrals of 1, u, v, u^2, uv, v^2) as ints over one
+denominator, so the integral of any integrand of total degree <= 2 (P^2,
+(P.C)^2 and (P.C) times an affine form: every integrand the chamber engine
+produces) is an integer dot product, and a ``Fraction`` is built only for
+the value a caller keeps.  ``quadratic_dips_below_zero``, the P^2 >= 0
+guard, decides a sign in integers and builds no ``Fraction`` at all.
+Degenerate (zero-area) polygons are legal everywhere and have zero moments,
+so the chamber engine never special-cases emptiness."""
 
 from __future__ import annotations
 
@@ -236,23 +239,34 @@ def _quadratic_coefficients(p: Polynomial2, what: str) -> tuple[int, list[int]]:
     return _over_lcm(*(p.coefficient(a, b) for a, b in _QUADRATIC))
 
 
-def integrate_polygon(p: Polynomial2, poly: Polygon) -> Fraction:
-    """Exact double integral of p(u, v), of total degree <= 2, over a convex
-    polygon.
+def _affine_product(r: Sequence[int], s: Sequence[int]) -> tuple[int, ...]:
+    """(r0 + r1 u + r2 v)(s0 + s1 u + s2 v) by the monomials of _QUADRATIC."""
+    r0, r1, r2 = r
+    s0, s1, s2 = s
+    return (r0 * s0, r0 * s1 + r1 * s0, r0 * s2 + r2 * s0, r1 * s1, r1 * s2 + r2 * s1, r2 * s2)
 
-    Fan triangulation from vertex 0; convexity makes the fan a genuine
-    partition, and each triangle counts with |det|, so either orientation
-    works.  Shifting p to vertex 0 changes only its constant and linear terms.
-    Over the fan triangle (0, a, b) with d = |det(a, b)| the monomials
-    integrate to d/2, d(a+b)/6, d(a^2+ab+b^2)/12 and
-    d(2a0a1 + a0b1 + b0a1 + 2b0b1)/24.  With the integer vertices over W and
-    p's coefficients scaled to ints by M, every moment term is an int over
-    24 M W^4, the one ``Fraction``.
+
+def _dot(c: Sequence[int], moments: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(c, moments))
+
+
+def polygon_moments(poly: Polygon) -> tuple[int, tuple[int, ...]]:
+    """(den, m): the six moments of a convex polygon, the integrals of 1, u,
+    v, u^2, uv and v^2 (the order of _QUADRATIC), are m[k] / den with den > 0.
+
+    Fan triangulation from vertex 0 = (ox, oy) / W; convexity makes the fan a
+    genuine partition, and each triangle counts with |det|, so either
+    orientation works and a degenerate polygon has zero moments.  Over the
+    fan triangle (0, a, b) with d = |det(a, b)| the monomials of the offset
+    from vertex 0 integrate to d/2, d(a+b)/6, d(a^2+ab+b^2)/12 and
+    d(2a0a1 + a0b1 + b0a1 + 2b0b1)/24; expanding u = ox / W + offset turns
+    those into the six moments, every one an int over 24 W^4.  The integral
+    of a polynomial of degree <= 2 is then the dot product of its
+    coefficients with the moments.
     """
-    m, c = _quadratic_coefficients(p, "integrate_polygon")
     pts, w = poly.points, poly.den
     if len(pts) < 3:
-        return Fraction(0)
+        return 1, (0,) * 6
     ox, oy = pts[0]
     s0 = sx = sy = sxx = sxy = syy = 0
     ax, ay = pts[1][0] - ox, pts[1][1] - oy
@@ -266,14 +280,24 @@ def integrate_polygon(p: Polynomial2, poly: Polygon) -> Fraction:
         sxy += d * (2 * ax * ay + ax * by + bx * ay + 2 * bx * by)
         syy += d * (ay * ay + ay * by + by * by)
         ax, ay = bx, by
-    # the linear terms of p shifted to vertex 0, times m * w
-    c10 = c[1] * w + 2 * c[3] * ox + c[4] * oy
-    c01 = c[2] * w + c[4] * ox + 2 * c[5] * oy
-    return Fraction(
-        12 * _quadratic_at(c, w, ox, oy) * s0 + 4 * (c10 * sx + c01 * sy)
-        + 2 * c[3] * sxx + c[4] * sxy + 2 * c[5] * syy,
-        24 * m * w**4,
+    a0 = 12 * s0
+    return 24 * w**4, (
+        a0 * w * w,
+        (a0 * ox + 4 * sx) * w,
+        (a0 * oy + 4 * sy) * w,
+        (a0 * ox + 8 * sx) * ox + 2 * sxx,
+        a0 * ox * oy + 4 * (ox * sy + oy * sx) + sxy,
+        (a0 * oy + 8 * sy) * oy + 2 * syy,
     )
+
+
+def integrate_polygon(p: Polynomial2, poly: Polygon) -> Fraction:
+    """Exact double integral of p(u, v), of total degree <= 2, over a convex
+    polygon: p's coefficients, scaled to ints by M, dotted with
+    ``polygon_moments``, over M times the moments' denominator."""
+    m, c = _quadratic_coefficients(p, "integrate_polygon")
+    den, moments = polygon_moments(poly)
+    return Fraction(_dot(c, moments), m * den)
 
 
 def split_by_line(poly: Polygon, line: AffineForm) -> tuple[Polygon, Polygon]:
@@ -281,44 +305,41 @@ def split_by_line(poly: Polygon, line: AffineForm) -> tuple[Polygon, Polygon]:
     return polygon_clip(poly, line), polygon_clip(poly, -line)
 
 
-def quadratic_min_on_polygon(p: Polynomial2, poly: Polygon) -> Fraction:
-    """Exact minimum of a polynomial of degree <= 2 over a convex polygon.
+def quadratic_dips_below_zero(c: Sequence[int], poly: Polygon) -> bool:
+    """Whether the quadratic with integer coefficients c (of 1, u, v, u^2,
+    uv, v^2, times any positive scale) is negative somewhere on a convex
+    polygon.
 
-    The minimum sits at a vertex, at a parabola vertex interior to an edge,
-    or at an interior stationary point; all are rational and enumerable.
+    Its minimum over the closed polygon sits at a vertex, at the parabola
+    minimum inside an edge, or, when the Hessian is positive definite and
+    the polygon has positive area, at the interior stationary point; each
+    candidate's sign is an integer expression, and containment is a
+    cross-multiplied test.
     """
-    m, c = _quadratic_coefficients(p, "quadratic_min_on_polygon")
-    corners = poly.canonical()
-    if not corners.points:
-        raise ValueError("empty polygon")
-    w = corners.den
-    candidates = [
-        Fraction(min(_quadratic_at(c, w, x, y) for x, y in corners.points), m * w * w)
-    ]
-    cu2, cv2 = p.coefficient(2, 0), p.coefficient(0, 2)
-    cuv = p.coefficient(1, 1)
-    cu, cv = p.coefficient(1, 0), p.coefficient(0, 1)
-    # interior stationary point: solve the 2x2 gradient system
-    det = 4 * cu2 * cv2 - cuv * cuv
-    if det != 0:
-        su = (-cu * 2 * cv2 + cv * cuv) / det
-        sv = (-cv * 2 * cu2 + cu * cuv) / det
-        if poly.contains((su, sv)):
-            candidates.append(p(su, sv))
-    for a, b in poly.edges():
-        du, dv = b[0] - a[0], b[1] - a[1]
-        # restrict to a + t (b - a), t in [0, 1]: quadratic in t
-        c2 = cu2 * du * du + cuv * du * dv + cv2 * dv * dv
-        if c2 == 0:
-            continue
-        c1 = (
-            2 * cu2 * a[0] * du + cuv * (a[0] * dv + a[1] * du)
-            + 2 * cv2 * a[1] * dv + cu * du + cv * dv
-        )
-        t = -c1 / (2 * c2)
-        if 0 < t < 1:
-            candidates.append(p(a[0] + t * du, a[1] + t * dv))
-    return min(candidates)
+    pts, w = poly.points, poly.den
+    if any(_quadratic_at(c, w, x, y) < 0 for x, y in pts):
+        return True
+    c0, c1, c2, c3, c4, c5 = c
+    n = len(pts)
+    for i in range(n):
+        (xa, ya), (xb, yb) = pts[i], pts[(i + 1) % n]
+        dx, dy = xb - xa, yb - ya
+        # w^2 p(a + t (b - a)) = k0 + k1 t + k2 t^2
+        k2 = c3 * dx * dx + c4 * dx * dy + c5 * dy * dy
+        k1 = 2 * c3 * xa * dx + c4 * (xa * dy + ya * dx) + 2 * c5 * ya * dy + w * (c1 * dx + c2 * dy)
+        if k2 > 0 and 0 < -k1 < 2 * k2:
+            if 4 * _quadratic_at(c, w, xa, ya) * k2 < k1 * k1:
+                return True
+    det = 4 * c3 * c5 - c4 * c4
+    if c3 > 0 and det > 0 and poly._twice_area() > 0:
+        # the stationary point (sx, sy) / det; the sign of its value times det
+        sx, sy = c4 * c2 - 2 * c5 * c1, c4 * c1 - 2 * c3 * c2
+        if c0 * det + c1 * c2 * c4 - c5 * c1 * c1 - c3 * c2 * c2 < 0:
+            # over the common denominator w * det
+            q = (sx * w, sy * w)
+            corners = [(x * det, y * det) for x, y in pts]
+            return all(_cross(o, a, q) >= 0 for o, a in zip(corners, corners[1:] + corners[:1]))
+    return False
 
 
 def polygon_intersection(a: Polygon, b: Polygon) -> Polygon:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .geometry import Polygon, integrate_polygon, polygon_clip
+from .geometry import Polygon, _affine_product, _dot, _over_lcm, polygon_clip, polygon_moments
 from .lattice import CurveLattice, ParametricDivisor
 from .poly import AffineForm, Polynomial2, integrate_interval
 from .rationals import rat
@@ -238,7 +238,8 @@ def s_curve(
     for lo, hi, integrand in ord_pieces:
         total += integrate_interval(integrand, lo, hi)
     for chamber in famdec.chambers():
-        total += integrate_polygon(chamber.p_squared, chamber.region)
+        den, moments = polygon_moments(chamber.region)
+        total += Fraction(_dot(chamber.sq_row, moments), chamber.sq_den * den)
     return total * Fraction(3) / V
 
 
@@ -252,8 +253,9 @@ def _point_base(V, famdec: FamilyDecomposition, flag: FlagData) -> Fraction:
     center = famdec.lattice.index(flag.center)
     total = Fraction(0)
     for chamber in famdec.chambers():
-        form = chamber.p_pairings[center]
-        total += integrate_polygon(form * form, chamber.region)
+        row = chamber.pair_rows[center]
+        den, moments = polygon_moments(chamber.region)
+        total += Fraction(_dot(_affine_product(row, row), moments), chamber.den**2 * den)
     return total * Fraction(3) / V
 
 
@@ -272,14 +274,17 @@ def f_term(V, famdec: FamilyDecomposition, flag: FlagData) -> Fraction:
     for idx in mults:
         if idx == center:
             raise InvariantError("the center curve cannot carry its own multiplicity")
+    # the multiplicities as ints over q > 0
+    q, scaled = _over_lcm(*mults.values())
+    mults = dict(zip(mults, scaled))
+    ord_rows = [_over_lcm(f.c, f.cu, f.cv) for _, _, f in flag.threefold_ord]
     total = Fraction(0)
     for chamber in famdec.chambers():
-        p_center = chamber.p_pairings[center]
-        order = AffineForm(0, 0, 0)
-        for i, coeff in zip(chamber.support, chamber.neg_coeffs):
+        p_center = chamber.pair_rows[center]
+        order = [0, 0, 0]  # ord_P(N|_C) times den * q
+        for i, coeff in zip(chamber.support, chamber.coeff_rows):
             if i in mults:
-                if mults[i]:
-                    order = order + coeff * mults[i]
+                order = [o + c * mults[i] for o, c in zip(order, coeff)]
             elif mults and i != center and lat.gram[i][center] != 0:
                 # once the flag locates the point on some support curve, every
                 # support curve meeting the center must state its multiplicity
@@ -287,15 +292,17 @@ def f_term(V, famdec: FamilyDecomposition, flag: FlagData) -> Fraction:
                 raise InvariantError(
                     f"incomplete flag data: no point multiplicity for {lat.names[i]}"
                 )
-        if not order.is_zero():
-            total += integrate_polygon(p_center * order, chamber.region)
-        for lo, hi, ord_u in flag.threefold_ord:
+        if any(order):
+            den, moments = polygon_moments(chamber.region)
+            numerator = _dot(_affine_product(p_center, order), moments)
+            total += Fraction(numerator, chamber.den**2 * q * den)
+        for (lo, hi, _), (m, ord_u) in zip(flag.threefold_ord, ord_rows):
             window = polygon_clip(
                 polygon_clip(chamber.region, AffineForm(-lo, 1, 0)),
                 AffineForm(hi, -1, 0),
             )
-            if not window.is_degenerate():
-                total += integrate_polygon(p_center * ord_u, window)
+            den, moments = polygon_moments(window)
+            total += Fraction(_dot(_affine_product(p_center, ord_u), moments), chamber.den * m * den)
     return total * Fraction(6) / V
 
 

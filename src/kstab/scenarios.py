@@ -362,6 +362,18 @@ def _bool_arg(args: dict, key: str) -> bool:
     return value
 
 
+def _list_arg(args: dict, key: str, what: str, entry_ok) -> list:
+    """``args[key]`` as a JSON list whose every entry passes ``entry_ok``."""
+    value = args[key]
+    if not isinstance(value, list) or not all(entry_ok(x) for x in value):
+        raise ScenarioError(f"argument {key!r} must be a list of {what}, got {value!r}")
+    return value
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2
+
+
 class ScenarioRuntime:
     """Evaluates expectation operations against one scenario, with caching."""
 
@@ -496,11 +508,15 @@ class ScenarioRuntime:
         if op == "beta_lower_bound":
             pieces = [
                 (rat(p["u"][0]), rat(p["u"][1]), _poly(p["poly"], "beta piece"))
-                for p in args["pieces"]
+                for p in _list_arg(
+                    args, "pieces", '{"u": [lo, hi], "poly": terms} objects',
+                    lambda p: isinstance(p, dict) and _is_pair(p.get("u")) and "poly" in p,
+                )
             ]
             return beta_lower_bound(scenario.V, rat(args["A"]), pieces)
         if op == "delta_min":
-            return delta_min_combinator([(rat(n), rat(d)) for n, d in args["terms"]])
+            terms = _list_arg(args, "terms", "[numerator, denominator] pairs", _is_pair)
+            return delta_min_combinator([(rat(n), rat(d)) for n, d in terms])
         if op == "fiber_delta_bound":
             return fiber_delta_bound(
                 _int_arg(args, "d"), rat(args["delta"]), _bool_arg(args, "on_E")

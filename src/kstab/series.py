@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import Polygon, integrate_polygon, polygon_clip
+from .geometry import Polygon, _affine_product, _dot, polygon_clip, polygon_moments
 from .lattice import CurveLattice
 from .poly import AffineForm, Polynomial2
 from .rationals import format_decimal
@@ -196,21 +196,19 @@ def band_universe(n: int, i: int) -> tuple[CurveLattice, list[BandMember]]:
     return CurveLattice(names, gram), members
 
 
+# d^2 = 2 (3-u)^2 - (1+v)^2 - 7, the same on every band
+_D_SQUARED = Polynomial2({(0, 0): 10, (1, 0): -12, (2, 0): 2, (0, 1): -2, (0, 2): -1})
+
+
 def band_divisor(members) -> DivisorData:
-    """(3 - u)(l1 + l2) - (1 + v) e1 - sum_{i >= 2} e_i, via its pairings."""
-    three_minus_u = AffineForm(3, -1, 0)
-    one_plus_v = AffineForm(1, 0, 1)
+    """(3 - u)(l1 + l2) - (1 + v) e1 - sum_{i >= 2} e_i, via its pairings:
+    against (a1, a2, -b1, ...) it pairs to (3 - u) s + (1 + v) b1 + the
+    rest, with s = a1 + a2."""
     pairings = []
     for _, vector, _ in members:
-        form = three_minus_u * (vector[0] + vector[1]) + one_plus_v * vector[2]
-        pairings.append(form + AffineForm(sum(vector[3:]), 0, 0))
-    # d^2 = 2 (3-u)^2 - (1+v)^2 - 7
-    sq = (
-        AffineForm(3, -1, 0) * AffineForm(3, -1, 0) * 2
-        - AffineForm(1, 0, 1) * AffineForm(1, 0, 1)
-        - Polynomial2.const(7)
-    )
-    return DivisorData(tuple(pairings), sq)
+        s, b1 = vector[0] + vector[1], vector[2]
+        pairings.append(AffineForm(3 * s + b1 + sum(vector[3:]), -s, b1))
+    return DivisorData(tuple(pairings), _D_SQUARED)
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,14 @@ def compute_band(n: int, i: int) -> BandResult:
     Phi for a component ell of kind (level, kind) is the integral
     (3/7) double-int (P . e1) * coeff_ell dv du over the band; the F-terms
     are Phi sums weighted by (ell . e1).  Components of one kind must carry
-    identical coefficients (the configuration is symmetric); this is checked.
+    identical coefficients (the configuration is symmetric); this is checked
+    on the integer numerators of their Phi over one shared denominator.
+
+    Every integrand is P^2 or a product of two of the chamber's integer rows,
+    so each integral is the dot product of six integer coefficients with the
+    six ``polygon_moments`` of the chamber region, or of its part left of the
+    split, each computed once.  M'' is the whole-chamber integral minus M':
+    the two parts share only a segment of area 0, so the difference is exact.
     """
     lat, members = band_universe(n, i)
     data = band_divisor(members)
@@ -248,23 +253,26 @@ def compute_band(n: int, i: int) -> BandResult:
     m_hi = Fraction(0)
     phi: dict[tuple[int, int], list[Fraction]] = {}
     left_cut = AffineForm(split, -1, 0)  # u <= split
-    right_cut = AffineForm(-split, 1, 0)
     for chamber in dec.chambers:
-        s_term += integrate_polygon(chamber.p_squared, chamber.region)
-        pe1 = chamber.p_pairings[e1_idx]
-        pe1_sq = pe1 * pe1
-        m_lo += integrate_polygon(pe1_sq, polygon_clip(chamber.region, left_cut))
-        m_hi += integrate_polygon(pe1_sq, polygon_clip(chamber.region, right_cut))
-        per_curve: dict[tuple[int, int], list[Fraction]] = {}
-        for idx, coeff in zip(chamber.support, chamber.neg_coeffs):
-            value = integrate_polygon(pe1 * coeff, chamber.region)
-            per_curve.setdefault(kind_of[idx], []).append(value)
-        for key, values in per_curve.items():
-            if len(set(values)) != 1:
+        whole_den, whole = polygon_moments(chamber.region)
+        left_den, left = polygon_moments(polygon_clip(chamber.region, left_cut))
+        s_term += Fraction(_dot(chamber.sq_row, whole), chamber.sq_den * whole_den)
+        pe1 = chamber.pair_rows[e1_idx]
+        pe1_sq = _affine_product(pe1, pe1)
+        den_sq = chamber.den * chamber.den
+        m_left = Fraction(_dot(pe1_sq, left), den_sq * left_den)
+        m_lo += m_left
+        m_hi += Fraction(_dot(pe1_sq, whole), den_sq * whole_den) - m_left
+        per_curve: dict[tuple[int, int], set[int]] = {}
+        for idx, coeff in zip(chamber.support, chamber.coeff_rows):
+            numerator = _dot(_affine_product(pe1, coeff), whole)
+            per_curve.setdefault(kind_of[idx], set()).add(numerator)
+        for key, numerators in per_curve.items():
+            if len(numerators) != 1:
                 raise ValueError(
                     f"asymmetric multiplicities within kind {key} on band I_({n},{i})"
                 )
-            phi.setdefault(key, []).append(values[0])
+            phi.setdefault(key, []).append(Fraction(numerators.pop(), den_sq * whole_den))
     scale = Fraction(3, 14)
     return BandResult(
         s_term=s_term * scale,

@@ -20,25 +20,31 @@ positive-part computation: a ``bareiss_solve`` on those rows whose every
 output is an integer row over one positive denominator, so a sign test or
 a cross-multiplication of ints decides each comparison.  The support
 closure (``_support_closure``), the threshold sweep and the chamber build
-all read those rows.  ``Fraction``s, ``AffineForm``s and ``Polynomial2``s
-are built once, for what a public function returns: the
-``PointDecomposition``, the threshold form and each ``Chamber``.
+all read those rows.  A ``Chamber`` keeps its rows: the negative-part
+coefficients and pairings over one denominator and P^2 as six integer
+coefficients over another, and the P^2 >= 0 guard is an integer sign test
+on them.  ``Fraction``s, ``AffineForm``s and ``Polynomial2``s are built once,
+for what a caller reads: the ``PointDecomposition``, the threshold form and
+a ``Chamber``'s ``neg_coeffs``, ``p_pairings`` and ``p_squared`` views.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
 from math import gcd, lcm
 from typing import Sequence
 
 from .geometry import (
+    _QUADRATIC,
     Polygon,
     _over_lcm,
+    _quadratic_coefficients,
     polygon_clip,
     polygon_intersection,
-    quadratic_min_on_polygon,
+    quadratic_dips_below_zero,
     shared_edge,
 )
 from .lattice import (
@@ -198,12 +204,17 @@ def _value(row, den: int):
     return AffineForm(Fraction(row[0], den), Fraction(row[1], den), Fraction(row[2], den))
 
 
-def _volume(self_sq: Polynomial2, nd, nd_den: int) -> Polynomial2:
-    """P^2 = D^2 - N . D for the N . D numerators of ``_int_positive_part``."""
-    terms = dict(self_sq.terms)
-    for exp, n in nd.items():
-        terms[exp] = terms.get(exp, 0) - Fraction(n, nd_den)
-    return Polynomial2(terms)
+def _volume(d_sq, nd, nd_den: int) -> tuple[int, tuple[int, ...]]:
+    """P^2 = D^2 - N . D as (den, row): six integer coefficients by the
+    monomials of _QUADRATIC over den > 0, for D^2 = (s, c) from
+    ``_quadratic_coefficients`` and the N . D numerators of
+    ``_int_positive_part``."""
+    s, c = d_sq
+    return s * nd_den, tuple(ck * nd_den - s * nd.get(exp, 0) for ck, exp in zip(c, _QUADRATIC))
+
+
+def _quadratic(den: int, row) -> Polynomial2:
+    return Polynomial2({exp: Fraction(n, den) for exp, n in zip(_QUADRATIC, row) if n})
 
 
 def _positive_part(lat: CurveLattice, pairings, self_sq, support):
@@ -223,7 +234,8 @@ def _positive_part(lat: CurveLattice, pairings, self_sq, support):
     coeffs = [_value(row, den) for row in coeffs]
     pairs = [_value(row, den) for row in pairs]
     if isinstance(pairings[0], AffineForm):
-        return coeffs, pairs, _volume(self_sq, nd, nd_den)
+        d_sq = _quadratic_coefficients(self_sq, "P^2")
+        return coeffs, pairs, _quadratic(*_volume(d_sq, nd, nd_den))
     return coeffs, pairs, self_sq - Fraction(nd[(0, 0)], nd_den)
 
 
@@ -336,17 +348,50 @@ def _try_support(lat, point: PointDivisor, subset: tuple[int, ...]):
 
 @dataclass(frozen=True)
 class Chamber:
-    """One maximal parameter polygon with constant negative support."""
+    """One maximal parameter polygon with constant negative support.
+
+    The chamber data are integer rows over positive denominators: the
+    negative-part coefficient of support[k] is coeff_rows[k] / den and
+    P . C_j is pair_rows[j] / den, each row (c, cu, cv) meaning
+    c + cu u + cv v; P^2 is sq_row / sq_den, by the monomials 1, u, v, u^2,
+    uv, v^2.  The constructor takes any integer sequences, stores tuples and
+    reduces both to lowest terms, so ``==`` and the hash see the values.  ``neg_coeffs``, ``p_pairings`` and ``p_squared``
+    give them back as ``AffineForm``s and a ``Polynomial2``, each built on
+    first read.
+    """
 
     region: Polygon
     support: tuple[int, ...]
-    neg_coeffs: tuple[AffineForm, ...]  # aligned with support
-    p_pairings: tuple[AffineForm, ...]  # P . C_j for every universe curve
-    p_squared: Polynomial2
+    den: int
+    coeff_rows: tuple[tuple[int, int, int], ...]  # aligned with support
+    pair_rows: tuple[tuple[int, int, int], ...]  # one per universe curve
+    sq_den: int
+    sq_row: tuple[int, int, int, int, int, int]
+
+    def __post_init__(self):
+        g = gcd(self.den, *(x for row in (*self.coeff_rows, *self.pair_rows) for x in row))
+        object.__setattr__(self, "den", self.den // g)
+        for name in ("coeff_rows", "pair_rows"):
+            rows = getattr(self, name)
+            object.__setattr__(self, name, tuple(tuple(x // g for x in row) for row in rows))
+        g = gcd(self.sq_den, *self.sq_row)
+        object.__setattr__(self, "sq_den", self.sq_den // g)
+        object.__setattr__(self, "sq_row", tuple(x // g for x in self.sq_row))
+
+    @cached_property
+    def neg_coeffs(self) -> tuple[AffineForm, ...]:
+        return tuple(_value(row, self.den) for row in self.coeff_rows)
+
+    @cached_property
+    def p_pairings(self) -> tuple[AffineForm, ...]:
+        return tuple(_value(row, self.den) for row in self.pair_rows)
+
+    @cached_property
+    def p_squared(self) -> Polynomial2:
+        return _quadratic(self.sq_den, self.sq_row)
 
     def negative_vector_at(self, u, v) -> tuple[Fraction, ...]:
-        rank = len(self.p_pairings)
-        out = [Fraction(0)] * rank
+        out = [Fraction(0)] * len(self.pair_rows)
         for i, form in zip(self.support, self.neg_coeffs):
             out[i] = form(u, v)
         return tuple(out)
@@ -407,16 +452,17 @@ class ChamberDecomposition:
     def validate_orthogonality(self) -> None:
         for chamber in self.chambers:
             for i in chamber.support:
-                if not chamber.p_pairings[i].is_zero():
+                if any(chamber.pair_rows[i]):
                     raise ZariskiError(
                         f"positive part meets support curve {self.lattice.names[i]}"
                     )
 
 
-def _build_chamber(lat: CurveLattice, d: DivisorData, columns, domain: Polygon, support):
+def _build_chamber(lat: CurveLattice, d_sq, columns, domain: Polygon, support):
     """Parametric data and validity region for one candidate support.
 
-    ``columns`` is ``_int_columns(d.pairings)``.  Each half-plane is a
+    ``columns`` is ``_int_columns`` of the pairings and ``d_sq`` is D^2 as
+    ``_quadratic_coefficients`` gives it.  Each half-plane is a
     coefficient or an off-support pairing as a primitive integer row: the
     row over den > 0 divided by its gcd, which keeps the half-plane and
     gives equal half-planes equal rows.
@@ -437,11 +483,12 @@ def _build_chamber(lat: CurveLattice, d: DivisorData, columns, domain: Polygon, 
         region = polygon_clip(region, h)
     region = region.canonical()
     chamber = Chamber(
-        region=region,
-        support=tuple(support),
-        neg_coeffs=tuple(_value(row, den) for row in coeffs),
-        p_pairings=tuple(_value(row, den) for row in pairs),
-        p_squared=_volume(d.self_sq, nd, nd_den),
+        region,
+        tuple(support),
+        den,
+        coeffs,
+        pairs,
+        *_volume(d_sq, nd, nd_den),
     )
     return chamber, halfplanes
 
@@ -458,6 +505,7 @@ def decompose_parametric(lat: CurveLattice, d, domain: Polygon) -> ChamberDecomp
     data = _as_data(lat, d)
     columns = _int_columns(data.pairings)
     m, r = columns
+    d_sq = _quadratic_coefficients(data.self_sq, "decompose_parametric: D^2")
     domain = domain.canonical()
     chambers: list[Chamber] = []
     pieces = [] if domain.is_degenerate() else [domain]
@@ -483,7 +531,7 @@ def decompose_parametric(lat: CurveLattice, d, domain: Polygon) -> ChamberDecomp
                 ) from exc
             if support in seen:
                 continue  # boundary sample of an already-covered chamber
-            built = _build_chamber(lat, data, columns, domain, support)
+            built = _build_chamber(lat, d_sq, columns, domain, support)
             if built is not None and not built[0].region.is_degenerate():
                 break
             built = None
@@ -496,7 +544,7 @@ def decompose_parametric(lat: CurveLattice, d, domain: Polygon) -> ChamberDecomp
             # the formal decomposition can remain feasible past the true
             # pseudoeffective boundary when the universe is too small to see
             # it; a negative volume is the tell
-            if quadratic_min_on_polygon(chamber.p_squared, chamber.region) < 0:
+            if quadratic_dips_below_zero(chamber.sq_row, chamber.region):
                 raise CoverageError(
                     "universe incomplete or domain exceeds pseudoeffective "
                     f"region: P^2 turns negative on {chamber.region!r}",

@@ -11,7 +11,8 @@ from kstab.geometry import (
     integrate_polygon,
     polygon_clip,
     polygon_intersection,
-    quadratic_min_on_polygon,
+    polygon_moments,
+    quadratic_dips_below_zero,
     shared_edge,
     split_by_line,
 )
@@ -360,10 +361,11 @@ def _ref_contains(verts, p):
 
 
 def _ref_quadratic_min(p, verts):
-    corners = _ref_canonical(verts)
-    if not corners:
+    # every vertex is a candidate, collinear ones too: a minimum can sit at
+    # a collinear vertex where the parabolas of both its edges end
+    if not verts:
         raise ValueError("empty polygon")
-    candidates = [p(x, y) for x, y in corners]
+    candidates = [p(x, y) for x, y in verts]
     cu2, cv2, cuv = p.coefficient(2, 0), p.coefficient(0, 2), p.coefficient(1, 1)
     cu, cv = p.coefficient(1, 0), p.coefficient(0, 1)
     det = 4 * cu2 * cv2 - cuv * cuv
@@ -458,11 +460,76 @@ def test_integer_kernels_match_fraction_reference(case, p, data):
     ] + [(x + F(1, 7), y - F(2, 9)) for x, y in ref] + [(F(-5), F(1, 3)), (F(1, 2), F(1, 3))]
     for q in probes:
         assert poly.contains(q) == _ref_contains(ref, q)
-    if ref:
-        assert quadratic_min_on_polygon(p, poly) == _ref_quadratic_min(p, ref)
-    else:
-        with pytest.raises(ValueError, match="empty"):
-            quadratic_min_on_polygon(p, poly)
+
+
+MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+
+
+@given(reference_polygons())
+@settings(max_examples=400, deadline=None)
+def test_polygon_moments_match_fraction_reference(case):
+    """The six moments are the integrals of 1, u, v, u^2, uv, v^2 exactly, in
+    either orientation, for collinear, zero-area, 0-2 vertex and clipped
+    polygons of differing denominators."""
+    verts, convex = case
+    poly = Polygon(verts) if convex else unchecked(verts)
+    den, moments = polygon_moments(poly)
+    assert den > 0 and len(moments) == 6
+    expected = [_ref_integrate(Polynomial2({exp: 1}), poly) for exp in MONOMIALS]
+    assert [F(m, den) for m in moments] == expected
+
+
+@st.composite
+def hessian_quadratics(draw, verts):
+    """(kind, p): p = l1 (a x + b y)^2 + l2 (c x + d y)^2 + k at x = u - u0,
+    y = v - v0, with signs of l1, l2 that make the degree-2 part positive or
+    negative definite, indefinite or degenerate.  (u0, v0) is a weighted
+    mean of the vertices, so interior minima are common; a ramp added to
+    some draws moves the stationary point elsewhere."""
+    kind = draw(st.sampled_from(["positive", "negative", "indefinite", "degenerate"]))
+    a, b, c, d = (draw(st.integers(-3, 3)) for _ in range(4))
+    l1, l2 = (draw(st.fractions(min_value=F(1, 4), max_value=F(3), max_denominator=4))
+              for _ in range(2))
+    l1, l2 = {"positive": (l1, l2), "negative": (-l1, -l2),
+              "indefinite": (l1, -l2), "degenerate": (l1 * draw(st.sampled_from([-1, 0, 1])), 0)}[kind]
+    weights = [draw(st.integers(1, 4)) for _ in verts]
+    u0, v0 = (sum(w * q[k] for w, q in zip(weights, verts)) / sum(weights) for k in (0, 1))
+    x, y = Polynomial2({(1, 0): 1, (0, 0): -u0}), Polynomial2({(0, 1): 1, (0, 0): -v0})
+    p = (x * a + y * b) * (x * a + y * b) * l1 + (x * c + y * d) * (x * c + y * d) * l2
+    p = p + Polynomial2.const(draw(small_rational) / 16)
+    if draw(st.booleans()):
+        p = p + Polynomial2({(1, 0): draw(small_rational), (0, 1): draw(small_rational)})
+    return kind, p
+
+
+def _int_coefficients(p):
+    den = lcm(*(p.coefficient(*exp).denominator for exp in MONOMIALS))
+    return [int(p.coefficient(*exp) * den) for exp in MONOMIALS]
+
+
+def test_sign_test_matches_the_fraction_minimum():
+    """quadratic_dips_below_zero agrees with the sign of the Fraction
+    minimum on positive-area and 1-2 vertex polygons, and both outcomes
+    occur."""
+    seen = set()
+
+    @given(
+        reference_polygons().filter(
+            lambda case: case[1] and (0 < len(case[0]) < 3 or _ref_signed_area(case[0]) != 0)
+        ),
+        st.data(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def check(case, data):
+        verts, _ = case
+        ref = _ref_clean([(F(x), F(y)) for x, y in verts])
+        _, p = data.draw(hessian_quadratics(ref))
+        negative = quadratic_dips_below_zero(_int_coefficients(p), Polygon(verts))
+        assert negative == (_ref_quadratic_min(p, ref) < 0)
+        seen.add(negative)
+
+    check()
+    assert seen == {True, False}
 
 
 def test_equal_vertex_values_make_equal_polygons():

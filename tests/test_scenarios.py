@@ -174,6 +174,10 @@ REPLACEMENTS = [None, 0, "x", [], {}, ["x"]]
     ("24-cusp", "oracle", "seed", "7"),
     ("24-cusp", "chamber_pairing", "chamber", -1),
     ("24-cusp", "chamber_pairing", "chamber", 99),
+    ("delta-bounds", "delta_min", "terms", 5),
+    ("delta-bounds", "delta_min", "terms", [["1"]]),
+    ("25-beta", "beta_lower_bound", "pieces", {"u": ["0", "1"]}),
+    ("25-beta", "beta_lower_bound", "pieces", [{"u": ["0"], "poly": []}]),
 ])
 def test_malformed_expectation_argument_is_an_error_row(scenario_id, op, key, value):
     """An argument of the wrong JSON type or out of range is an error row

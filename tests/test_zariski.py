@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,19 @@ def test_parametric_coverage_error_names_region():
     assert info.value.polygon is not None
 
 
+def _chamber_of_values(region, support, neg_coeffs, p_pairings, p_squared):
+    """The Chamber with these values, through its integer-row constructor."""
+    forms = [(f.c, f.cu, f.cv) for f in tuple(neg_coeffs) + tuple(p_pairings)]
+    den = lcm(*(x.denominator for row in forms for x in row))
+    rows = tuple(tuple(int(x * den) for x in row) for row in forms)
+    sq = [p_squared.coefficient(*e) for e in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))]
+    sq_den = lcm(*(x.denominator for x in sq))
+    k = len(neg_coeffs)
+    return Chamber(
+        region, support, den, rows[:k], rows[k:], sq_den, tuple(int(x * sq_den) for x in sq)
+    )
+
+
 def test_oracle_check_passes_and_catches_corruption():
     lat, d = cusp_setup()
     dom = Polygon([(0, 0), (1, 0), (1, 6), (0, 9)])
@@ -222,7 +236,7 @@ def test_oracle_check_passes_and_catches_corruption():
         if chamber.support:
             coeffs = list(chamber.neg_coeffs)
             coeffs[0] = coeffs[0] + AffineForm(F(1, 97))
-            chamber = Chamber(
+            chamber = _chamber_of_values(
                 chamber.region, chamber.support, tuple(coeffs),
                 chamber.p_pairings, chamber.p_squared,
             )
@@ -242,7 +256,7 @@ def test_continuity_is_checked_between_the_endpoints():
 
     def across_u_equals_one(difference):
         chambers = tuple(
-            Chamber(region, (), (), (), p_squared)
+            _chamber_of_values(region, (), (), (), p_squared)
             for region, p_squared in ((Polygon.rectangle(0, 1, 0, 1), base),
                                       (Polygon.rectangle(1, 2, 0, 1), base + difference))
         )
@@ -766,3 +780,61 @@ def test_chambers_match_the_fraction_positive_part():
             assert chamber.neg_coeffs == tuple(coeffs)
             assert chamber.p_pairings == tuple(p_pairings)
             assert chamber.p_squared == p_sq
+
+
+def test_chamber_views_match_the_positive_part():
+    """neg_coeffs, p_pairings and p_squared, read from the integer rows,
+    are the values _positive_part gives on each chamber's support."""
+    from kstab.series import band_divisor, band_universe, interval_bounds
+
+    cusp_lat, cusp = cusp_setup()
+    nodal_lat, nodal = nodal_setup()
+    cases = [
+        (cusp_lat, DivisorData.from_parametric(cusp_lat, cusp),
+         Polygon([(0, 0), (1, 0), (1, 6), (0, 9)])),
+        (nodal_lat, DivisorData.from_parametric(nodal_lat, nodal),
+         Polygon.band(0, 1, AffineForm(F(19, 6), F(-7, 6)))),
+    ]
+    for n, i in ((0, 1), (1, 2), (7, 3), (40, 4)):
+        lat, members = band_universe(n, i)
+        data = band_divisor(members)
+        lo, hi = interval_bounds(n, i, "p")[0], interval_bounds(n, i, "pp")[1]
+        ((_, _, top),) = effective_threshold(lat, data, lo, hi)
+        cases.append((lat, data, Polygon.band(lo, hi, top)))
+    for lat, data, domain in cases:
+        for chamber in decompose_parametric(lat, data, domain).chambers:
+            coeffs, p_pairings, p_sq = _positive_part(
+                lat, data.pairings, data.self_sq, chamber.support
+            )
+            assert chamber.neg_coeffs == tuple(coeffs)
+            assert chamber.p_pairings == tuple(p_pairings)
+            assert chamber.p_squared == p_sq
+
+
+def _single_curve_case(self_sq, domain):
+    """A one-curve universe that the family never meets negatively, so the
+    one chamber is the whole domain with P^2 = D^2."""
+    return decompose_parametric(
+        CurveLattice(["E"], [[-1]]), DivisorData((AffineForm(1),), self_sq), domain
+    )
+
+
+def test_negative_volume_is_a_coverage_error():
+    """The P^2 >= 0 guard fires with the minimum at a vertex, inside an edge
+    only, or at an interior point only, and not at a corner zero."""
+    square = Polygon.rectangle(0, 1, 0, 1)
+    with pytest.raises(CoverageError, match=r"P\^2 turns negative"):
+        decompose_parametric(
+            CurveLattice(["E"], [[-1]]),
+            DivisorData((AffineForm(0, 1, 0),), Polynomial2({(0, 0): 1, (0, 1): -1})),
+            Polygon.rectangle(0, 1, 0, 2),
+        )
+    interior = Polynomial2({(2, 0): 1, (1, 0): -1, (0, 2): 1, (0, 1): -1, (0, 0): F(49, 100)})
+    edge = Polynomial2({(2, 0): 1, (1, 0): -1, (0, 1): 1, (0, 0): F(24, 100)})
+    for self_sq in (interior, edge):  # (u-1/2)^2 + (v-1/2)^2 - 1/100, (u-1/2)^2 + v - 1/100
+        with pytest.raises(CoverageError, match=r"P\^2 turns negative") as info:
+            _single_curve_case(self_sq, square)
+        assert info.value.polygon == square
+    corner_zero = Polynomial2({(0, 0): 4, (1, 0): 1, (0, 2): -1})
+    dec = _single_curve_case(corner_zero, Polygon.rectangle(0, 1, 0, 2))
+    assert [c.p_squared for c in dec.chambers] == [corner_zero]
