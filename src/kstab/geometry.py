@@ -2,7 +2,10 @@
 
 Chambers of the parameter rectangle are convex polygons with rational
 vertices, stored as integer numerators over one positive common denominator
-W in lowest terms.  Clipping, the canonical form, area and containment run
+W in lowest terms.  A half-plane {c + cu u + cv v >= 0} is an integer row
+(c, cu, cv), taken up to a positive multiple: ``polygon_clip`` is the one
+clip kernel, and a caller holding an ``AffineForm`` scales it to a row once
+with ``_over_lcm``.  Clipping, the canonical form, area and containment run
 on those integers and build at most one ``Fraction``, at their output.
 ``polygon_moments`` is the one integration kernel: it returns the six fan
 moments (the integrals of 1, u, v, u^2, uv, v^2) as ints over one
@@ -134,14 +137,21 @@ class Polygon:
         return self._twice_area() == 0
 
     def contains(self, point) -> bool:
-        """Closed containment test (boundary counts as inside)."""
+        """Closed containment: whether the point lies in the convex hull of
+        the vertices.  A zero-area polygon is the segment between its
+        extreme vertices (a point, or nothing, for fewer than two)."""
         q, (px, py) = _over_lcm(*point)
         # both sides over the common denominator den * q
-        px, py = px * self.den, py * self.den
+        p = (px * self.den, py * self.den)
         pts = [(x * q, y * q) for x, y in self.points]
-        if len(pts) < 3:
-            return (px, py) in pts  # degenerate: only exact vertex hits
-        return all(_cross(o, a, (px, py)) >= 0 for o, a in zip(pts, pts[1:] + pts[:1]))
+        crosses = [_cross(o, a, p) for o, a in zip(pts, pts[1:] + pts[:1])]
+        if any(c < 0 for c in crosses):
+            return False
+        if any(crosses):
+            return True
+        # every cross is 0: no vertices, or a zero-area polygon whose line
+        # runs through the point; int order runs along that line
+        return bool(pts) and min(pts) <= p <= max(pts)
 
     def edges(self) -> list[tuple[Point, Point]]:
         verts = self.vertices
@@ -208,11 +218,11 @@ class Polygon:
         return f"Polygon[{inside}]"
 
 
-def polygon_clip(poly: Polygon, halfplane: AffineForm) -> Polygon:
-    """Exact intersection of a convex polygon with {halfplane(u, v) >= 0}."""
+def polygon_clip(poly: Polygon, halfplane: Sequence[int]) -> Polygon:
+    """Exact intersection of a convex polygon with {c + cu u + cv v >= 0}
+    for the integer row halfplane = (c, cu, cv), or any positive multiple."""
     pts, w = poly.points, poly.den
-    # the half-plane scaled by a positive integer: only signs matter
-    _, (c, cu, cv) = _over_lcm(halfplane.c, halfplane.cu, halfplane.cv)
+    c, cu, cv = halfplane
     values = [c * w + cu * x + cv * y for x, y in pts]
     if all(val >= 0 for val in values):
         return poly
@@ -300,9 +310,11 @@ def integrate_polygon(p: Polynomial2, poly: Polygon) -> Fraction:
     return Fraction(_dot(c, moments), m * den)
 
 
-def split_by_line(poly: Polygon, line: AffineForm) -> tuple[Polygon, Polygon]:
-    """(poly ∩ {line >= 0}, poly ∩ {line <= 0}); shared boundary has area 0."""
-    return polygon_clip(poly, line), polygon_clip(poly, -line)
+def split_by_line(poly: Polygon, line: Sequence[int]) -> tuple[Polygon, Polygon]:
+    """(poly ∩ {line >= 0}, poly ∩ {line <= 0}) for an integer row line =
+    (c, cu, cv); the shared boundary has area 0."""
+    c, cu, cv = line
+    return polygon_clip(poly, line), polygon_clip(poly, (-c, -cu, -cv))
 
 
 def quadratic_dips_below_zero(c: Sequence[int], poly: Polygon) -> bool:
@@ -351,7 +363,7 @@ def polygon_intersection(a: Polygon, b: Polygon) -> Polygon:
     for (px, py), (qx, qy) in zip(pts, pts[1:] + pts[:1]):
         # the inward side of a CCW edge, {r : cross(p, q, r) >= 0}, times w^2
         dx, dy = qx - px, qy - py
-        out = polygon_clip(out, AffineForm(dy * px - dx * py, -dy * w, dx * w))
+        out = polygon_clip(out, (dy * px - dx * py, -dy * w, dx * w))
         if not out.points:
             break
     return out

@@ -278,6 +278,10 @@ def f_term(V, famdec: FamilyDecomposition, flag: FlagData) -> Fraction:
     q, scaled = _over_lcm(*mults.values())
     mults = dict(zip(mults, scaled))
     ord_rows = [_over_lcm(f.c, f.cu, f.cv) for _, _, f in flag.threefold_ord]
+    windows = []  # u >= lo and u <= hi of each piece, as integer rows
+    for lo, hi, _ in flag.threefold_ord:
+        lo, hi = rat(lo), rat(hi)
+        windows.append(((-lo.numerator, lo.denominator, 0), (hi.numerator, -hi.denominator, 0)))
     total = Fraction(0)
     for chamber in famdec.chambers():
         p_center = chamber.pair_rows[center]
@@ -285,7 +289,7 @@ def f_term(V, famdec: FamilyDecomposition, flag: FlagData) -> Fraction:
         for i, coeff in zip(chamber.support, chamber.coeff_rows):
             if i in mults:
                 order = [o + c * mults[i] for o, c in zip(order, coeff)]
-            elif mults and i != center and lat.gram[i][center] != 0:
+            elif mults and i != center and lat.int_gram[i][center] != 0:
                 # once the flag locates the point on some support curve, every
                 # support curve meeting the center must state its multiplicity
                 # at the point (zero is fine); an absent entry is a data bug
@@ -296,11 +300,8 @@ def f_term(V, famdec: FamilyDecomposition, flag: FlagData) -> Fraction:
             den, moments = polygon_moments(chamber.region)
             numerator = _dot(_affine_product(p_center, order), moments)
             total += Fraction(numerator, chamber.den**2 * q * den)
-        for (lo, hi, _), (m, ord_u) in zip(flag.threefold_ord, ord_rows):
-            window = polygon_clip(
-                polygon_clip(chamber.region, AffineForm(-lo, 1, 0)),
-                AffineForm(hi, -1, 0),
-            )
+        for (above, below), (m, ord_u) in zip(windows, ord_rows):
+            window = polygon_clip(polygon_clip(chamber.region, above), below)
             den, moments = polygon_moments(window)
             total += Fraction(_dot(_affine_product(p_center, ord_u), moments), chamber.den * m * den)
     return total * Fraction(6) / V

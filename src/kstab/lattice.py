@@ -7,20 +7,26 @@ decomposition relies on it.
 Nefness and pseudoeffectivity everywhere in this package are relative to
 this declared universe.
 
-Negativity and the Gram solves run in integers.  Each lattice stores, once,
-``scale`` (the lcm of its entry denominators) and ``int_gram`` (the Gram
-matrix times ``scale``).  ``bareiss_solve`` is one fraction-free elimination
-(Bareiss, Math. Comp. 1968) of ``[int_gram on S | R]``: every division in it
-is exact, its pivots are the leading principal minors, so it doubles as
-Sylvester's test, and its back-substitution returns det * solution as
-integers.  A caller divides once, by one common denominator, per output.
-``solve_gram`` is the ``Fraction`` elimination kept as the exact reference.
+A lattice's value is integers: ``scale`` (the lcm of its entry
+denominators) and ``int_gram`` (the Gram matrix times ``scale``).  That form
+is unique, so ``==``, the hash and pickling see the Gram values; ``gram`` is
+the ``Fraction`` view, built on first read.  Integer entries, such as the
+Picard Gram of a series band, go in without a ``Fraction``.
+
+Negativity and the Gram solves run on ``int_gram``.  ``bareiss_solve`` is
+one fraction-free elimination (Bareiss, Math. Comp. 1968) of
+``[int_gram on S | R]``: every division in it is exact, its pivots are the
+leading principal minors, so it doubles as Sylvester's test, and its
+back-substitution returns det * solution as integers.  A caller divides
+once, by one common denominator, per output.  ``solve_gram`` is the
+``Fraction`` elimination kept as the exact reference.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Sequence
 
@@ -32,24 +38,24 @@ class LatticeError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@dataclass(frozen=True, init=False, repr=False)
 class CurveLattice:
     """Named curve classes with a symmetric rational intersection form.
 
     A frozen dataclass: it compares by value, copies and pickles.  The
-    constructor checks shape, symmetry, distinct names and that distinct
-    curves pair non-negatively.
+    Gram entry (i, j) is int_gram[i][j] / scale.  The constructor checks
+    shape, symmetry, distinct names and that distinct curves pair
+    non-negatively.
     """
 
     names: tuple[str, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
-    # derived from gram: lcm of its denominators, and gram * scale in int
-    scale: int = field(compare=False)
-    int_gram: tuple[tuple[int, ...], ...] = field(compare=False)
+    scale: int  # the lcm of the entry denominators
+    int_gram: tuple[tuple[int, ...], ...]
 
     def __init__(self, names: Sequence[str], gram: Sequence[Sequence]):
         names = tuple(str(n) for n in names)
-        matrix = tuple(tuple(rat(x) for x in row) for row in gram)
+        # an int is its own numerator over denominator 1
+        matrix = [[x if type(x) is int else rat(x) for x in row] for row in gram]
         n = len(names)
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise LatticeError(f"gram matrix shape does not match {n} curve names")
@@ -68,9 +74,12 @@ class CurveLattice:
         if len(set(names)) != n:
             raise LatticeError("duplicate curve names")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "gram", matrix)
         object.__setattr__(self, "scale", scale)
         object.__setattr__(self, "int_gram", ints)
+
+    @cached_property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.int_gram)
 
     @property
     def rank(self) -> int:

@@ -188,12 +188,12 @@ def band_universe(n: int, i: int) -> tuple[CurveLattice, list[BandMember]]:
         members.extend(
             (name, vector, (level, kind)) for name, vector in kind_components(level, kind)
         )
-    names = [name for name, _, _ in members]
-    gram = [
-        [picard_pair(a, b) for _, b, _ in members]
-        for _, a, _ in members
-    ]
-    return CurveLattice(names, gram), members
+    vectors = [vector for _, vector, _ in members]
+    gram = [[0] * len(vectors) for _ in vectors]
+    for i, a in enumerate(vectors):
+        for j in range(i + 1):
+            gram[i][j] = gram[j][i] = picard_pair(a, vectors[j])
+    return CurveLattice([name for name, _, _ in members], gram), members
 
 
 # d^2 = 2 (3-u)^2 - (1+v)^2 - 7, the same on every band
@@ -252,7 +252,7 @@ def compute_band(n: int, i: int) -> BandResult:
     m_lo = Fraction(0)
     m_hi = Fraction(0)
     phi: dict[tuple[int, int], list[Fraction]] = {}
-    left_cut = AffineForm(split, -1, 0)  # u <= split
+    left_cut = (split.numerator, -split.denominator, 0)  # u <= split
     for chamber in dec.chambers:
         whole_den, whole = polygon_moments(chamber.region)
         left_den, left = polygon_moments(polygon_clip(chamber.region, left_cut))

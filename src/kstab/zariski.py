@@ -20,12 +20,15 @@ positive-part computation: a ``bareiss_solve`` on those rows whose every
 output is an integer row over one positive denominator, so a sign test or
 a cross-multiplication of ints decides each comparison.  The support
 closure (``_support_closure``), the threshold sweep and the chamber build
-all read those rows.  A ``Chamber`` keeps its rows: the negative-part
-coefficients and pairings over one denominator and P^2 as six integer
-coefficients over another, and the P^2 >= 0 guard is an integer sign test
-on them.  ``Fraction``s, ``AffineForm``s and ``Polynomial2``s are built once,
-for what a caller reads: the ``PointDecomposition``, the threshold form and
-a ``Chamber``'s ``neg_coeffs``, ``p_pairings`` and ``p_squared`` views.
+all read those rows.  ``_build_chamber`` reduces each half-plane of a
+chamber to a primitive integer row and hands the rows to ``polygon_clip``
+as they are, and ``_subtract`` splits the remainder by the same rows.  A
+``Chamber`` keeps its rows: the negative-part coefficients and pairings
+over one denominator and P^2 as six integer coefficients over another, and
+the P^2 >= 0 guard is an integer sign test on them.  ``Fraction``s,
+``AffineForm``s and ``Polynomial2``s are built once, for what a caller
+reads: the ``PointDecomposition``, the threshold form and a ``Chamber``'s
+``neg_coeffs``, ``p_pairings`` and ``p_squared`` views.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .geometry import (
     polygon_intersection,
     quadratic_dips_below_zero,
     shared_edge,
+    split_by_line,
 )
 from .lattice import (
     CurveLattice,
@@ -465,7 +469,8 @@ def _build_chamber(lat: CurveLattice, d_sq, columns, domain: Polygon, support):
     ``_quadratic_coefficients`` gives it.  Each half-plane is a
     coefficient or an off-support pairing as a primitive integer row: the
     row over den > 0 divided by its gcd, which keeps the half-plane and
-    gives equal half-planes equal rows.
+    gives equal half-planes equal rows.  The rows go to ``polygon_clip``
+    as they are.
     """
     m, r = columns
     den, coeffs, pairs, nd, nd_den = _int_positive_part(lat, m, r, support)
@@ -477,7 +482,7 @@ def _build_chamber(lat: CurveLattice, d_sq, columns, domain: Polygon, support):
             continue
         g = gcd(a, b, e)
         rows.append((a // g, b // g, e // g))
-    halfplanes = [AffineForm(*row) for row in dict.fromkeys(rows)]
+    halfplanes = list(dict.fromkeys(rows))
     region = domain
     for h in halfplanes:
         region = polygon_clip(region, h)
@@ -565,15 +570,16 @@ def decompose_parametric(lat: CurveLattice, d, domain: Polygon) -> ChamberDecomp
     return decomposition
 
 
-def _subtract(piece: Polygon, halfplanes: Sequence[AffineForm]) -> list[Polygon]:
-    """Convex remainder pieces of piece minus {all halfplanes >= 0}."""
+def _subtract(piece: Polygon, halfplanes: Sequence[tuple[int, int, int]]) -> list[Polygon]:
+    """Convex remainder pieces of piece minus {all halfplanes >= 0}, each
+    half-plane an integer row (c, cu, cv)."""
     remainders = []
     current = piece
     for h in halfplanes:
-        below = polygon_clip(current, -h).canonical()
+        current, below = split_by_line(current, h)
+        below = below.canonical()
         if not below.is_degenerate():
             remainders.append(below)
-        current = polygon_clip(current, h)
         if current.is_degenerate():
             break
     return remainders

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from kstab.geometry import (
     Polygon,
+    _over_lcm,
     integrate_polygon,
     polygon_clip,
     polygon_intersection,
@@ -49,6 +50,11 @@ def gauss_integrate(p, poly, order=12):
                 v = y0 + s * (y1 - y0) + t * (y2 - y0)
                 total += abs(jac) * wi * we * (1 - xi) * feval(u, v)
     return total
+
+
+def _row(h):
+    """The AffineForm h as an integer half-plane row (c, cu, cv)."""
+    return tuple(_over_lcm(h.c, h.cu, h.cv)[1])
 
 
 def unchecked(verts):
@@ -103,23 +109,23 @@ def _ref_integrate(p, poly):
 
 
 def test_clip_noop():
-    assert polygon_clip(UNIT_SQUARE, AffineForm(0, 1, 0)) == UNIT_SQUARE
+    assert polygon_clip(UNIT_SQUARE, (0, 1, 0)) == UNIT_SQUARE
 
 
 def test_clip_to_triangle():
-    clipped = polygon_clip(UNIT_SQUARE, AffineForm(1, -1, -1)).canonical()
+    clipped = polygon_clip(UNIT_SQUARE, (1, -1, -1)).canonical()
     assert clipped == TRIANGLE.canonical()
 
 
 def test_clip_first_chamber_of_the_nodal_flag():
     # {0 <= u <= 1, 0 <= v <= 4 - 2u} cut down to {v <= 2 - 2u}
     band = Polygon.band(0, 1, AffineForm(4, -2, 0))
-    chamber = polygon_clip(band, AffineForm(2, -2, -1)).canonical()
+    chamber = polygon_clip(band, (2, -2, -1)).canonical()
     assert chamber == Polygon([(0, 0), (1, 0), (0, 2)]).canonical()
 
 
 def test_clip_empty_result():
-    assert polygon_clip(UNIT_SQUARE, AffineForm(-5, 0, 1)).area() == 0
+    assert polygon_clip(UNIT_SQUARE, (-5, 0, 1)).area() == 0
 
 
 def test_integrate_area_and_centroid():
@@ -178,7 +184,7 @@ quadratic_polys = st.dictionaries(
 def test_split_additivity(p, q, a, b):
     """Integration is additive under any chord split of the polygon."""
     line = AffineForm(a - b, b - 1, 1)  # through (a,0) with slope (1-b)
-    lhs, rhs = split_by_line(UNIT_SQUARE, line)
+    lhs, rhs = split_by_line(UNIT_SQUARE, _row(line))
     for integrate, poly in ((_ref_integrate, p), (integrate_polygon, q)):
         split_total = integrate(poly, lhs) + integrate(poly, rhs)
         assert split_total == integrate(poly, UNIT_SQUARE)
@@ -217,7 +223,7 @@ def test_numeric_quadrature_cross_check(p, q, seed):
             F(rng.randint(-3, 3), rng.randint(1, 3)),
             1,
         )
-        region = polygon_clip(region, line)
+        region = polygon_clip(region, _row(line))
     for integrate, poly in ((_ref_integrate, p), (integrate_polygon, q)):
         exact = integrate(poly, region)
         approx = gauss_integrate(poly, region)
@@ -241,7 +247,7 @@ def fast_path_polygons(draw):
         height = draw(st.fractions(min_value=F(1, 6), max_value=F(3), max_denominator=6))
         poly = Polygon.rectangle(u0, u0 + width, v0, v0 + height)
     for line in draw(st.lists(clip_lines, max_size=2)):
-        poly = polygon_clip(poly, line)
+        poly = polygon_clip(poly, _row(line))
     shape = draw(st.sampled_from(["convex", "collinear", "clockwise", "degenerate"]))
     if shape == "collinear":
         verts = []
@@ -252,7 +258,7 @@ def fast_path_polygons(draw):
         poly = unchecked(poly.vertices[::-1])
     elif shape == "degenerate":
         line = draw(clip_lines)
-        poly = polygon_clip(polygon_clip(poly, line), -line)
+        poly = polygon_clip(polygon_clip(poly, _row(line)), _row(-line))
     return poly
 
 
@@ -354,10 +360,26 @@ def _ref_signed_area(verts):
 
 
 def _ref_contains(verts, p):
+    """Whether p lies in the closed convex hull of verts; for zero area,
+    the segment between the two vertices farthest apart."""
     n = len(verts)
-    if n < 3:
-        return p in verts
+    if _ref_signed_area(verts) == 0:
+        if not verts:
+            return False
+        a, b = max(((a, b) for a in verts for b in verts),
+                   key=lambda ab: (ab[0][0] - ab[1][0]) ** 2 + (ab[0][1] - ab[1][1]) ** 2)
+        return (_ref_cross(a, b, p) == 0
+                and (p[0] - a[0]) * (p[0] - b[0]) + (p[1] - a[1]) * (p[1] - b[1]) <= 0)
     return all(_ref_cross(verts[i], verts[(i + 1) % n], p) >= 0 for i in range(n))
+
+
+def _ref_intersection(verts, other):
+    """verts clipped by the inward side of each edge of other."""
+    if len(other) < 3:
+        return ()
+    for (px, py), (qx, qy) in zip(other, other[1:] + other[:1]):
+        verts = _ref_clip(verts, AffineForm((qy - py) * px - (qx - px) * py, -(qy - py), qx - px))
+    return verts
 
 
 def _ref_quadratic_min(p, verts):
@@ -445,8 +467,15 @@ def test_integer_kernels_match_fraction_reference(case, p, data):
     ref = _ref_clean([(F(x), F(y)) for x, y in verts])
     assert poly.vertices == ref
     h = data.draw(halfplanes_for(ref))
+    # the half-plane as an integer row, times any positive integer
+    k = data.draw(st.integers(1, 9))
+    row = tuple(k * x for x in _row(h))
+    other_verts, _ = data.draw(reference_polygons())
+    other = _ref_clean([(F(x), F(y)) for x, y in other_verts])
+    overlap = polygon_intersection(poly, unchecked(other))
     # the lowest-terms form makes == and the hash see the vertex values
-    for mine, theirs in ((polygon_clip(poly, h), _ref_clip(ref, h)),
+    for mine, theirs in ((polygon_clip(poly, row), _ref_clip(ref, h)),
+                         (overlap, _ref_intersection(ref, other)),
                          (poly.canonical(), _ref_canonical(ref))):
         assert mine.vertices == theirs
         assert mine == unchecked(theirs)
@@ -457,9 +486,15 @@ def test_integer_kernels_match_fraction_reference(case, p, data):
     probes = list(ref) + [
         ((ref[i][0] + ref[(i + 1) % n][0]) / 2, (ref[i][1] + ref[(i + 1) % n][1]) / 2)
         for i in range(n)
+    ] + [
+        # past the end of each edge: on the line of a zero-area polygon
+        (2 * ref[(i + 1) % n][0] - ref[i][0], 2 * ref[(i + 1) % n][1] - ref[i][1])
+        for i in range(n)
     ] + [(x + F(1, 7), y - F(2, 9)) for x, y in ref] + [(F(-5), F(1, 3)), (F(1, 2), F(1, 3))]
     for q in probes:
         assert poly.contains(q) == _ref_contains(ref, q)
+    flat = Polygon([(0, 0), (1, 0), (2, 0)])
+    assert not flat.contains((5, 0)) and flat.contains((F(3, 2), 0))
 
 
 MONOMIALS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2))

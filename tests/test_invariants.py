@@ -133,7 +133,7 @@ def test_s_curve_invariant_under_chamber_resplit():
     _, famdec = cusp_family_decomposition()
     reference = s_curve(10, famdec)
     total = F(0)
-    chord = AffineForm(F(-5, 7), 1, F(1, 3))
+    chord = (-15, 21, 7)  # the line -5/7 + u + v/3 = 0, times 21
     for chamber in famdec.chambers():
         left, right = split_by_line(chamber.region, chord)
         total += integrate_polygon(chamber.p_squared, left)

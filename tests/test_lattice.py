@@ -66,6 +66,30 @@ def test_gram_must_be_symmetric():
         CurveLattice(["a", "b"], [[-1, 1], [0, -1]])
 
 
+def test_gram_value_is_the_same_from_ints_fractions_and_strings():
+    names = ["f", "C", "L"]
+    ints = [[F(-1, 6), 1, 0], [1, -6, 0], [0, 0, -2]]  # the orbifold entry stays a Fraction
+    fractions = [[F(x) for x in row] for row in ints]
+    strings = [[str(x) for x in row] for row in ints]
+    lat, *others = (CurveLattice(names, g) for g in (ints, fractions, strings))
+    assert lat.scale == 6
+    assert lat.int_gram == ((-1, 6, 0), (6, -36, 0), (0, 0, -12))
+    for other in others:
+        assert other == lat
+        assert hash(other) == hash(lat)
+        assert other.gram == lat.gram == tuple(map(tuple, fractions))
+
+
+@pytest.mark.parametrize("n, i", [(0, 1), (1, 2), (7, 3), (40, 4)])
+def test_band_universe_int_gram_is_the_picard_pairing(n, i):
+    from kstab.series import band_universe, picard_pair
+
+    lat, members = band_universe(n, i)
+    vectors = [vector for _, vector, _ in members]
+    assert lat.scale == 1
+    assert lat.int_gram == tuple(tuple(picard_pair(a, b) for b in vectors) for a in vectors)
+
+
 def test_distinct_curves_must_not_pair_negatively():
     with pytest.raises(LatticeError, match="a and b pair negatively"):
         CurveLattice(["a", "b"], [[-1, F(-1, 2)], [F(-1, 2), -1]])

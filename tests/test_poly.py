@@ -12,7 +12,7 @@ from kstab.invariants import decompose_family
 from kstab.lattice import CurveLattice
 from kstab.poly import AffineForm, Polynomial2, integrate_interval, poly_from_terms
 from kstab.scenarios import corpus_dir, load_scenario
-from kstab.series import compute_band
+from kstab.series import band_universe, compute_band
 
 coeffs = st.fractions(min_value=F(-20), max_value=F(20), max_denominator=12)
 
@@ -101,10 +101,11 @@ def _cusp_family():
     lambda: Polynomial2({(2, 0): F(1, 3), (0, 1): F(-2)}),
     lambda: Polygon.rectangle(0, 1, 0, "1/2"),
     lambda: CurveLattice(["C", "L"], [["-1", "1"], ["1", "-2"]]),
+    lambda: band_universe(3, 2)[0],
     lambda: compute_band(0, 1),
     _cusp_family,
     lambda: load_scenario(corpus_dir() / "27-threefold.json"),
-], ids=["affine", "poly", "polygon", "lattice", "band", "family", "scenario"])
+], ids=["affine", "poly", "polygon", "lattice", "band-lattice", "band", "family", "scenario"])
 def test_values_pickle_and_deepcopy(make):
     value = make()
     assert pickle.loads(pickle.dumps(value)) == value
